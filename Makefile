@@ -20,7 +20,7 @@
 #                            streams, sustained frames/sec + latency percentiles
 #   make docs-check        - fail if any public module lacks a module docstring
 #                            and every required doc page is present + linked
-#   make clean-cache       - drop the repro.sim result store + JSON cache
+#   make clean-cache       - drop the repro.sim result store
 
 PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
@@ -72,4 +72,4 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 clean-cache:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -c "from repro.sim import JsonCache, ResultStore; print(ResultStore().clear(), 'point records and', JsonCache().clear(), 'cache entries removed')"
+	$(PYTHONPATH_PREFIX) $(PYTHON) -c "from repro.sim import ResultStore; print(ResultStore().clear(), 'point records removed')"

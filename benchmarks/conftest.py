@@ -9,9 +9,15 @@ report recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
 from typing import Dict, Iterable, Sequence
 
 import pytest
+
+# The per-symbol reference paths live with the tests that use them
+# (tests/reference_paths.py); the datapath speedup gates here time them.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

@@ -4,12 +4,12 @@ The receive half of the link went whole-burst first (see
 ``test_rx_datapath.py``); this benchmark covers the other half.  The
 batched transmit chain interleaves and LUT-maps every stream's coded bits
 in one pass, scatters them into one ``(n_streams, n_symbols, fft_size)``
-block, pilot-inserts with one block pass, runs a single planned IFFT
-through the :mod:`repro.dsp.backend` seam and cyclic-prefixes with one
-strided gather; the fused channel applies fading, delay, CFO, noise, IQ
-imbalance and quantisation to a single observation-window buffer in place.
-Both are bit-identical to their per-symbol/stage-at-a-time references (see
-``tests/test_hot_path_agreement.py``), so speed is the only degree of
+block, pilot-inserts with one block pass, runs a single planned IFFT and
+cyclic-prefixes with one strided gather; the fused channel applies fading,
+delay, CFO, noise, IQ imbalance and quantisation to a single
+observation-window buffer in place.  Both are bit-identical to their
+per-symbol/stage-at-a-time references in ``tests/reference_paths.py``
+(see ``tests/test_hot_path_agreement.py``), so speed is the only degree of
 freedom — measured here on the paper's synthesised 4x4, 64-point
 configuration and gated at the acceptance threshold (>= 3x).
 
@@ -31,6 +31,12 @@ from repro.core.config import TransceiverConfig
 from repro.core.transceiver import MimoTransceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.sim.engine import simulate_point
+from reference_paths import (
+    map_stream,
+    modulate_stream,
+    reference_channel,
+    reference_transmitter,
+)
 
 N_INFO_BITS = 4800  # ~51 data OFDM symbols per stream at 16-QAM rate 1/2
 MIN_SPEEDUP = 3.0
@@ -68,7 +74,7 @@ def encoded_burst():
     return config, padded, np.stack(padded), n_symbols, burst
 
 
-def _impaired_channel(vectorized):
+def _impaired_channel():
     """A fully-loaded channel, freshly seeded so both paths draw identically."""
     return MimoChannel(
         FlatRayleighChannel(4, 4, rng=np.random.default_rng(7)),
@@ -78,29 +84,28 @@ def _impaired_channel(vectorized):
         iq_amplitude_db=0.5,
         iq_phase_deg=2.0,
         rng=np.random.default_rng(8),
-        vectorized=vectorized,
     )
 
 
 @pytest.mark.benchmark(group="link-datapath")
 def test_batched_tx_and_channel_speedup(benchmark, table_printer, encoded_burst):
     config, padded, stacked, n_symbols, burst = encoded_burst
-    batched_tx = MimoTransmitter(config, vectorized=True)
-    scalar_tx = MimoTransmitter(config, vectorized=False)
+    transmitter = MimoTransmitter(config)
 
     def run_batched():
-        frequency = batched_tx._map_block(stacked, n_symbols)
-        samples = batched_tx._modulate_block(frequency)
-        return frequency, samples, _impaired_channel(True).transmit(burst.samples)
+        frequency = transmitter._map_block(stacked, n_symbols)
+        samples = transmitter._modulate_block(frequency)
+        return frequency, samples, _impaired_channel().transmit(burst.samples)
 
     def run_scalar():
         frequency = np.stack(
-            [scalar_tx._map_stream(bits, n_symbols) for bits in padded]
+            [map_stream(transmitter, bits, n_symbols) for bits in padded]
         )
         samples = np.stack(
-            [scalar_tx._modulate_stream(symbols) for symbols in frequency]
+            [modulate_stream(transmitter, symbols) for symbols in frequency]
         )
-        return frequency, samples, _impaired_channel(False).transmit(burst.samples)
+        channel = reference_channel(_impaired_channel())
+        return frequency, samples, channel.transmit(burst.samples)
 
     freq_b, samples_b, out_b = run_batched()
     freq_s, samples_s, out_s = run_scalar()
@@ -138,10 +143,11 @@ def test_burst_simulation_through_the_engine_backbone(benchmark, table_printer):
     results = {}
     for vectorized in (False, True):
         transceiver = MimoTransceiver(
-            config,
-            channel=MimoChannel(snr_db=22.0, rng=9, vectorized=vectorized),
-            vectorized_tx=vectorized,
+            config, channel=MimoChannel(snr_db=22.0, rng=9)
         )
+        if not vectorized:
+            transceiver.transmitter = reference_transmitter(transceiver.transmitter)
+            transceiver.channel = reference_channel(transceiver.channel)
 
         def run(t=transceiver):
             t.channel.rng = np.random.default_rng(10)

@@ -7,7 +7,8 @@ time.  The batched path gathers every data window of the burst into one
 (:class:`repro.dsp.fft.FftPlan` caches the bit-reverse permutation and
 per-stage twiddles per size), detects with one einsum and pilot-corrects
 with one block pass — bit-identically (see
-``tests/test_hot_path_agreement.py``).
+``tests/test_hot_path_agreement.py``).  The per-symbol loop is the
+reference in ``tests/reference_paths.py``.
 
 This benchmark measures the burst-level speedup of that chain on the
 paper's synthesised 4x4, 64-point configuration and asserts the acceptance
@@ -26,6 +27,7 @@ from repro.core.receiver import MimoReceiver
 from repro.core.transceiver import MimoTransceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.sim.engine import simulate_point
+from reference_paths import equalize_burst, reference_receiver
 
 N_INFO_BITS = 4800  # ~51 data OFDM symbols per stream at 16-QAM rate 1/2
 MIN_SPEEDUP = 3.0
@@ -62,23 +64,24 @@ def test_batched_chain_speedup_over_per_symbol_loop(
     benchmark, table_printer, synced_burst
 ):
     config, burst, estimate, data_start, n_symbols = synced_burst
-    batched = MimoReceiver(config, vectorized=True)
-    scalar = MimoReceiver(config, vectorized=False)
+    receiver = MimoReceiver(config)
+    args = (burst.samples, estimate, data_start, n_symbols)
 
-    def run(receiver):
-        return receiver.equalize_burst(
-            burst.samples, estimate, data_start, n_symbols
-        )
+    def run_batched():
+        return receiver.equalize_burst(*args)
 
-    eq_batched, phases_batched = run(batched)
-    eq_scalar, phases_scalar = run(scalar)
+    def run_scalar():
+        return equalize_burst(receiver, *args)
+
+    eq_batched, phases_batched = run_batched()
+    eq_scalar, phases_scalar = run_scalar()
     np.testing.assert_array_equal(eq_batched, eq_scalar)
     np.testing.assert_array_equal(phases_batched, phases_scalar)
 
     batched_s = benchmark.pedantic(
-        lambda: _best_of(lambda: run(batched)), rounds=1, iterations=1
+        lambda: _best_of(run_batched), rounds=1, iterations=1
     )
-    scalar_s = _best_of(lambda: run(scalar))
+    scalar_s = _best_of(run_scalar)
     speedup = scalar_s / batched_s
 
     table_printer(
@@ -104,7 +107,9 @@ def test_burst_simulation_through_the_engine_backbone(benchmark, table_printer):
     results = {}
     elapsed = {}
     for vectorized in (False, True):
-        transceiver = MimoTransceiver(config, vectorized_rx=vectorized)
+        transceiver = MimoTransceiver(config)
+        if not vectorized:
+            transceiver.receiver = reference_receiver(transceiver.receiver)
 
         def run(t=transceiver):
             return simulate_point(

@@ -12,10 +12,9 @@ the whole burst: all streams' coded bits are interleaved and LUT-mapped in
 one pass, scattered into one ``(n_streams, n_symbols, fft_size)``
 frequency-domain block, pilot-inserted with one
 :meth:`~repro.core.pilots.PilotProcessor.insert_block` pass, transformed by
-a single planned IFFT (through the configured
-:class:`~repro.dsp.backend.DspBackend`), and cyclic-prefixed with one
-indexed gather.  The original per-symbol loop survives behind
-``vectorized=False`` as the bit-exact agreement-test reference.
+a single planned IFFT, and cyclic-prefixed with one indexed gather.  The
+original per-symbol loop lives with the agreement tests as their bit-exact
+reference.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ from repro.core.config import TransceiverConfig
 from repro.core.frame import TransmitBurst
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
-from repro.dsp.backend import BackendLike, get_backend
-from repro.dsp.fft import ofdm_modulate
+from repro.dsp.fft import ifft
 from repro.exceptions import ConfigurationError
 from repro.modulation.mapper import SymbolMapper
 from repro.types import BitArray, ComplexArray
 from repro.utils.bits import _as_bit_array
+from repro.utils.rng import SeedLike, make_rng
 
 
 class MimoTransmitter:
@@ -48,26 +47,10 @@ class MimoTransmitter:
     config:
         Transceiver configuration; defaults to the paper's synthesised
         configuration (4x4, 16-QAM, 64-point OFDM, rate 1/2).
-    vectorized:
-        Build the burst through the whole-burst batched datapath (default).
-        ``False`` selects the original per-symbol loop, kept as the
-        bit-exact reference for the agreement tests.
-    backend:
-        :class:`~repro.dsp.backend.DspBackend` (or registry name) carrying
-        the transform arithmetic of the vectorised path.  The default
-        complex128 numpy backend is bit-identical to the scalar loop; the
-        ``"numpy32"`` backend runs the IFFTs in single precision.
     """
 
-    def __init__(
-        self,
-        config: Optional[TransceiverConfig] = None,
-        vectorized: bool = True,
-        backend: BackendLike = None,
-    ) -> None:
+    def __init__(self, config: Optional[TransceiverConfig] = None) -> None:
         self.config = config if config is not None else TransceiverConfig()
-        self.vectorized = vectorized
-        self.backend = get_backend(backend)
         self.numerology = self.config.numerology
         self.preamble = PreambleGenerator(self.config.fft_size)
         self.pilots = PilotProcessor(self.numerology)
@@ -121,36 +104,6 @@ class MimoTransmitter:
         padded[: coded.size] = coded
         return padded, n_symbols
 
-    def _map_stream(self, coded_bits: np.ndarray, n_symbols: int) -> np.ndarray:
-        """Interleave and map one stream; returns frequency-domain symbols.
-
-        Output shape is ``(n_symbols, fft_size)`` with pilots inserted.
-        """
-        n_cbps = self.config.coded_bits_per_symbol
-        n_bpsc = self.config.bits_per_subcarrier
-        fft_size = self.config.fft_size
-        data_bins = list(self.numerology.data_bins)
-        symbols = np.zeros((n_symbols, fft_size), dtype=np.complex128)
-        for n in range(n_symbols):
-            block = coded_bits[n * n_cbps : (n + 1) * n_cbps]
-            interleaved = interleave(block, n_cbps, n_bpsc)
-            constellation_points = self.mapper.map_bits(interleaved)
-            frequency = np.zeros(fft_size, dtype=np.complex128)
-            frequency[data_bins] = constellation_points
-            symbols[n] = self.pilots.insert(frequency, n)
-        return symbols
-
-    def _modulate_stream(self, frequency_symbols: np.ndarray) -> np.ndarray:
-        """IFFT + cyclic prefix for every OFDM symbol of one stream."""
-        cp = self.config.cyclic_prefix_length
-        waveform = [
-            ofdm_modulate(frequency_symbols[n], cp)
-            for n in range(frequency_symbols.shape[0])
-        ]
-        if not waveform:
-            return np.zeros(0, dtype=np.complex128)
-        return np.concatenate(waveform)
-
     # ------------------------------------------------------------------
     # whole-burst datapath
     # ------------------------------------------------------------------
@@ -160,11 +113,11 @@ class MimoTransmitter:
 
         ``padded_bits`` has shape ``(n_streams, n_symbols * n_cbps)``; the
         result is the ``(n_streams, n_symbols, fft_size)`` frequency-domain
-        block, value-identical to running :meth:`_map_stream` per stream
-        (the interleaver permutes all blocks with one fancy index, the LUT
-        mapper packs every symbol's address in one reshape, and the pilots
-        land with one :meth:`~repro.core.pilots.PilotProcessor.insert_block`
-        pass).
+        block, value-identical to interleaving and mapping each OFDM symbol
+        of each stream on its own (the interleaver permutes all blocks with
+        one fancy index, the LUT mapper packs every symbol's address in one
+        reshape, and the pilots land with one
+        :meth:`~repro.core.pilots.PilotProcessor.insert_block` pass).
         """
         n_cbps = self.config.coded_bits_per_symbol
         n_bpsc = self.config.bits_per_subcarrier
@@ -188,15 +141,15 @@ class MimoTransmitter:
         ``frequency_block`` has shape ``(n_streams, n_symbols, fft_size)``;
         the result is ``(n_streams, n_symbols * samples_per_symbol)`` time
         samples, value-identical to per-symbol
-        :func:`~repro.dsp.fft.ofdm_modulate` (the backend's batched IFFT
-        runs the same butterflies row by row, and the gather index copies
-        exactly the prefix + symbol concatenation).
+        :func:`~repro.dsp.fft.ofdm_modulate` (the batched IFFT runs the
+        same butterflies row by row, and the gather index copies exactly
+        the prefix + symbol concatenation).
         """
         n_streams, n_symbols, fft_size = frequency_block.shape
         cp = self.config.cyclic_prefix_length
         if n_symbols == 0:
-            return self.backend.zeros((n_streams, 0))
-        time_domain = self.backend.ifft(frequency_block)
+            return np.zeros((n_streams, 0), dtype=np.complex128)
+        time_domain = ifft(frequency_block)
         gather = np.concatenate(
             [np.arange(fft_size - cp, fft_size), np.arange(fft_size)]
         )
@@ -243,14 +196,7 @@ class MimoTransmitter:
             full[: coded.size] = coded
             padded.append(full)
 
-        if self.vectorized:
-            frequency_symbols = self._map_block(np.stack(padded), n_symbols)
-        else:
-            frequency_symbols = np.zeros(
-                (n_streams, n_symbols, self.config.fft_size), dtype=np.complex128
-            )
-            for stream in range(n_streams):
-                frequency_symbols[stream] = self._map_stream(padded[stream], n_symbols)
+        frequency_symbols = self._map_block(np.stack(padded), n_symbols)
 
         preamble_waveform = self.preamble.mimo_preamble(n_streams)
         layout = self.preamble.layout(n_streams)
@@ -266,15 +212,9 @@ class MimoTransmitter:
         )
         burst[:, : layout.total_length] = preamble_waveform
         data_end = layout.total_length + data_length
-        if self.vectorized:
-            burst[:, layout.total_length : data_end] = self._modulate_block(  # reprolint: disable=DTYPE001 -- the assembled burst is the complex128 air-interface boundary; payload precision is already decided inside the backend's ifft, so this single widening store loses nothing
-                frequency_symbols
-            )
-        else:
-            for stream in range(n_streams):
-                burst[stream, layout.total_length : data_end] = (
-                    self._modulate_stream(frequency_symbols[stream])
-                )
+        burst[:, layout.total_length : data_end] = self._modulate_block(
+            frequency_symbols
+        )
 
         return TransmitBurst(
             samples=burst,
@@ -286,11 +226,12 @@ class MimoTransmitter:
             frequency_symbols=frequency_symbols,
         )
 
-    def transmit_random(
-        self, n_info_bits: int, rng: Optional[np.random.Generator] = None
-    ) -> TransmitBurst:
-        """Convenience: transmit ``n_info_bits`` random bits on every stream."""
-        generator = rng if rng is not None else np.random.default_rng()  # reprolint: disable=DET001 -- opt-in convenience for interactive use; every engine path injects a seeded generator
+    def transmit_random(self, n_info_bits: int, rng: SeedLike = None) -> TransmitBurst:
+        """Convenience: transmit ``n_info_bits`` random bits on every stream.
+
+        ``rng`` is a seed or generator (see :func:`repro.utils.rng.make_rng`).
+        """
+        generator = make_rng(rng)
         streams = [
             generator.integers(0, 2, size=n_info_bits, dtype=np.uint8)
             for _ in range(self.config.n_streams)

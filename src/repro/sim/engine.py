@@ -29,7 +29,6 @@ from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.transceiver import MimoTransceiver
-from repro.dsp.backend import default_backend
 from repro.exceptions import DecodingError
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
 from repro.utils.rng import SeedLike, make_rng
@@ -102,22 +101,15 @@ def fixed_fading_seed(spec: SweepSpec, point: SweepPoint) -> np.random.SeedSeque
 
 
 @lru_cache(maxsize=8)
-def _transceiver_for(config: TransceiverConfig, backend_name: str) -> MimoTransceiver:
-    """Reusable transceiver per (configuration, DSP backend).
+def _transceiver_for(config: TransceiverConfig) -> MimoTransceiver:
+    """Reusable transceiver per configuration.
 
     Building a :class:`MimoTransceiver` constructs the full trellis,
     constellation tables and preamble; reusing it across bursts and batches
-    (the channel is swapped per burst instead) keeps the hot loop hot.  The
-    backend name participates in the cache key so a process that switches
-    ``REPRO_DSP_BACKEND`` mid-run can never be served a transceiver built
-    for another backend's arithmetic.
+    (the channel is swapped per burst instead) keeps the hot loop hot.
     """
     n = config.n_antennas
-    return MimoTransceiver(
-        config=config,
-        channel=MimoChannel(IdealChannel(n, n)),
-        backend=backend_name,
-    )
+    return MimoTransceiver(config=config, channel=MimoChannel(IdealChannel(n, n)))
 
 
 def simulate_point(
@@ -269,7 +261,7 @@ def simulate_batch(task: dict) -> Dict[str, object]:
     n_bursts = int(task["n_bursts"])
     batch_start = time.perf_counter()
 
-    transceiver = _transceiver_for(build_config(point, spec), default_backend().name)
+    transceiver = _transceiver_for(build_config(point, spec))
 
     fixed_fading = None
     if not spec.fresh_fading_per_burst:

@@ -14,7 +14,7 @@
    :class:`~repro.sim.queue.WorkQueue` (in-process FIFO for one worker, a
    ``multiprocessing`` pool otherwise).  Every burst owns a deterministic
    RNG stream seeded by the point's content and the burst index, so the
-   simulated physics is bit-identical for any backend, batch size or
+   simulated physics is bit-identical for any queue backend, batch size or
    completion order.
 3. **Early stopping + atomic commits** — batches report per-burst counts
    and the runner folds each point's burst sequence in order, truncating
@@ -39,31 +39,23 @@ import os
 import time
 from typing import Dict, List, Optional, Union
 
-from repro.sim.cache import JsonCache
 from repro.sim.engine import simulate_batch
 from repro.sim.queue import QueueLike, make_queue
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
 from repro.sim.stats import allocate_bursts
 from repro.sim.store import ResultStore
 
-StoreLike = Union[None, bool, str, "os.PathLike[str]", JsonCache, ResultStore]
+StoreLike = Union[None, bool, str, "os.PathLike[str]", ResultStore]
 
 
 def _resolve_store(cache: StoreLike) -> Optional[ResultStore]:
-    """Normalise the ``cache`` argument into a :class:`ResultStore` or ``None``.
-
-    A :class:`JsonCache` is accepted for backwards compatibility and maps
-    to a store rooted in a ``points/`` subdirectory of the cache directory,
-    keeping per-spec ``*.json`` files and per-point shards apart.
-    """
+    """Normalise the ``cache`` argument into a :class:`ResultStore` or ``None``."""
     if cache is None or cache is False:
         return None
     if cache is True:
         return ResultStore()
     if isinstance(cache, ResultStore):
         return cache
-    if isinstance(cache, JsonCache):
-        return ResultStore(cache.directory / "points")
     return ResultStore(cache)
 
 
@@ -85,8 +77,7 @@ class SweepRunner:
     cache:
         ``True`` (default) for the shared per-point store, ``False``/``None``
         to disable persistence, or a directory /
-        :class:`~repro.sim.store.ResultStore` /
-        :class:`~repro.sim.cache.JsonCache` selecting a specific store.
+        :class:`~repro.sim.store.ResultStore` selecting a specific store.
     resume:
         When True (default), finished points found in the store are loaded
         instead of simulated — re-running an interrupted or overlapping

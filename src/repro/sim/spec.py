@@ -343,22 +343,12 @@ class SweepSpec:
 
         Any field change — including the engine version — yields a new
         hash, so cached results can never leak across different sweeps.
-        The active DSP backend participates too: a sweep run under the
-        single-precision backend must never be served results simulated in
-        double precision, or vice versa.  (Runner knobs like batch size and
-        worker count are deliberately absent: they do not affect the
-        reported statistics.)
+        (Runner knobs like batch size and worker count are deliberately
+        absent: they do not affect the reported statistics.)
         """
-        from repro.dsp.backend import default_backend
         from repro.sim.cache import content_key
 
-        return content_key(
-            {
-                "engine_version": ENGINE_VERSION,
-                "dsp_backend": default_backend().name,
-                **self.to_dict(),
-            }
-        )
+        return content_key({"engine_version": ENGINE_VERSION, **self.to_dict()})
 
     def subset(self, **changes) -> "SweepSpec":
         """A copy of the spec with some fields replaced."""
@@ -435,18 +425,16 @@ class SweepPoint:
         Extends :meth:`seed_payload` with everything else that determines
         the *reported statistics*: the receiver-side knobs (``detector``,
         ``soft_decision``), the budget contract (``n_bursts``,
-        ``target_errors``), the engine version and the active DSP backend.
+        ``target_errors``) and the engine version.
         Two grids hashing a cell to the same key are guaranteed the same
         folded counts, so the record is shared; ``extra_bursts`` keys the
         refined records adaptive mode appends on top of the base budget.
         """
-        from repro.dsp.backend import default_backend
         from repro.sim.cache import content_key as _content_key
 
         payload = {
             "record": "sweep-point",
             "engine_version": ENGINE_VERSION,
-            "dsp_backend": default_backend().name,
             **self.seed_payload(spec),
             "detector": self.detector,
             "soft_decision": spec.soft_decision,

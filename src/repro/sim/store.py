@@ -1,10 +1,8 @@
 """Sharded, append-friendly per-point result store.
 
-Where :class:`~repro.sim.cache.JsonCache` keyed one opaque file per whole
-:class:`~repro.sim.spec.SweepSpec`, this store keeps one *record* per
-``(engine_version, point_key)`` — the content hash a
-:meth:`~repro.sim.spec.SweepPoint.content_key` computes from the cell's
-physics and budget.  Records live in 256 hash-sharded JSONL files, each
+The store keeps one *record* per ``(engine_version, point_key)`` — the
+content hash a :meth:`~repro.sim.spec.SweepPoint.content_key` computes
+from the cell's physics and budget.  Records live in 256 hash-sharded JSONL files, each
 appended to with an atomic per-record commit, which buys three properties
 the scale-out sweep layer needs:
 
@@ -25,9 +23,7 @@ occasional directory wipe is the only compaction it needs.
 
 :func:`commit_json_file` is the one atomic whole-file commit recipe
 (temp file in the target directory, ``fsync``, ``os.replace``, directory
-``fsync``) — the :class:`~repro.sim.cache.JsonCache` compatibility shim
-routes its ``put`` through it so a crash mid-write can never leave a
-destination file torn.
+``fsync``), so a crash mid-write can never leave a destination file torn.
 """
 
 from __future__ import annotations
@@ -56,9 +52,7 @@ def default_store_dir() -> Path:
     """The shared store directory: ``<cache dir>/points``.
 
     Lives inside the :func:`~repro.sim.cache.default_cache_dir` tree (and
-    therefore honours ``REPRO_SIM_CACHE_DIR``) but in its own subdirectory,
-    so per-spec ``*.json`` cache entries and per-point ``*.jsonl`` shards
-    never collide.
+    therefore honours ``REPRO_SIM_CACHE_DIR``) in its own subdirectory.
     """
     return default_cache_dir() / "points"
 

@@ -11,6 +11,11 @@ from repro.channel.impairments import (
 )
 from repro.channel.model import ChannelOutput, IdealChannel, MimoChannel
 from repro.dsp.fixedpoint import SAMPLE_FORMAT_16BIT, FixedPointFormat
+from reference_paths import reference_channel
+
+#: The fused production channel and its stage-at-a-time reference.
+PATHS = [lambda channel: channel, reference_channel]
+PATH_IDS = ["fused", "staged"]
 
 
 class TestCarrierFrequencyOffset:
@@ -198,8 +203,8 @@ class TestNoiseCalibration:
         assert output.noise_variance == pytest.approx(0.01)
         assert MimoChannel(rng=31).transmit(x).noise_variance is None
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_delivered_snr_invariant_to_sample_delay(self, vectorized):
+    @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
+    def test_delivered_snr_invariant_to_sample_delay(self, path):
         # Regression: the SNR used to be calibrated against the mean power
         # of the whole observation window, so the zero pad a sample_delay
         # prepends diluted the measurement and raised the delivered SNR.
@@ -207,9 +212,7 @@ class TestNoiseCalibration:
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 20_000)))
 
         def run(delay):
-            channel = MimoChannel(
-                snr_db=10.0, sample_delay=delay, rng=33, vectorized=vectorized
-            )
+            channel = path(MimoChannel(snr_db=10.0, sample_delay=delay, rng=33))
             output = channel.transmit(x)
             noise = output.samples[:, delay:] - x
             return output.noise_variance, float(np.mean(np.abs(noise) ** 2))
@@ -221,18 +224,14 @@ class TestNoiseCalibration:
         achieved = 10 * np.log10(1.0 / measured_delayed)
         assert achieved == pytest.approx(10.0, abs=0.2)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_iq_imbalance_distorts_the_noise_too(self, vectorized):
+    @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
+    def test_iq_imbalance_distorts_the_noise_too(self, path):
         # The IQ imbalance models the *receive* mixer, so it must run after
         # noise injection: the output equals noise-then-IQ, not IQ-then-noise.
         rng = np.random.default_rng(34)
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 5_000)))
-        channel = MimoChannel(
-            snr_db=15.0,
-            iq_amplitude_db=1.0,
-            iq_phase_deg=4.0,
-            rng=35,
-            vectorized=vectorized,
+        channel = path(
+            MimoChannel(snr_db=15.0, iq_amplitude_db=1.0, iq_phase_deg=4.0, rng=35)
         )
         output = channel.transmit(x)
 

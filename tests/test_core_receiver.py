@@ -14,6 +14,7 @@ from repro.dsp.fixedpoint import (
     SAMPLE_FORMAT_16BIT,
 )
 from repro.exceptions import ConfigurationError, DecodingError
+from reference_paths import reference_receiver, reference_transmitter
 
 
 def _loopback(config, channel=None, n_info_bits=200, seed=0, **receive_kwargs):
@@ -162,24 +163,22 @@ class TestKnownTimingAndValidation:
         with pytest.raises(DecodingError):
             receiver.receive(truncated, n_info_bits=120, lts_start=160)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_window_before_burst_start_raises(self, paper_config, vectorized):
+    def test_window_before_burst_start_raises(self, paper_config):
         # Regression: a too-small LTS hypothesis used to be clamped with
         # max(start, 0), silently decoding garbage from a misaligned window;
         # it must raise DecodingError like every other decode failure.
         transmitter = MimoTransmitter(paper_config)
-        receiver = MimoReceiver(paper_config, vectorized=vectorized)
+        receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
         with pytest.raises(DecodingError):
             receiver.receive(burst.samples, n_info_bits=120, lts_start=-200)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_equalize_burst_past_end_raises(self, paper_config, vectorized):
+    def test_equalize_burst_past_end_raises(self, paper_config):
         # Direct callers of equalize_burst get the same DecodingError as
         # receive() when the windows run past the received samples, not a
         # raw IndexError from the gather.
         transmitter = MimoTransmitter(paper_config)
-        receiver = MimoReceiver(paper_config, vectorized=vectorized)
+        receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
         estimate = receiver.estimate_channel(burst.samples, 160)
         layout = receiver.preamble.layout(paper_config.n_antennas)
@@ -189,10 +188,9 @@ class TestKnownTimingAndValidation:
                 burst.samples, estimate, data_start, n_symbols=10_000
             )
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_lts_window_before_burst_start_raises(self, paper_config, vectorized):
+    def test_lts_window_before_burst_start_raises(self, paper_config):
         transmitter = MimoTransmitter(paper_config)
-        receiver = MimoReceiver(paper_config, vectorized=vectorized)
+        receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
         with pytest.raises(DecodingError):
             receiver.estimate_channel(burst.samples, lts_start=-64)
@@ -210,22 +208,23 @@ class TestKnownTimingAndValidation:
 
 
 class TestScalarReferencePath:
-    """The retained per-symbol datapath decodes like the batched default."""
+    """The per-symbol reference datapath decodes like the batched one."""
 
     def test_scalar_loopback_error_free(self, paper_config):
         transmitter = MimoTransmitter(paper_config)
-        receiver = MimoReceiver(paper_config, vectorized=False)
+        receiver = reference_receiver(MimoReceiver(paper_config))
         burst = transmitter.transmit_random(200, rng=np.random.default_rng(40))
         result = receiver.receive(
             burst.samples, n_info_bits=200, reference_bits=burst.info_bits
         )
         assert result.total_bit_errors(burst.info_bits) == 0
 
-    def test_transceiver_exposes_the_reference_path(self, paper_config):
+    def test_reference_link_error_free(self, paper_config):
         from repro.core.transceiver import MimoTransceiver
 
-        transceiver = MimoTransceiver(paper_config, vectorized_rx=False)
-        assert transceiver.receiver.vectorized is False
+        transceiver = MimoTransceiver(paper_config)
+        transceiver.transmitter = reference_transmitter(transceiver.transmitter)
+        transceiver.receiver = reference_receiver(transceiver.receiver)
         result = transceiver.run_burst(150, rng=np.random.default_rng(41))
         assert result.bit_errors == 0
 

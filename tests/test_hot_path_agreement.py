@@ -7,9 +7,10 @@ receive chain in :mod:`repro.core.receiver` (planned FFT gather, batched
 ZF/MMSE detection and block pilot correction), the whole-burst transmit
 chain in :mod:`repro.core.transmitter` (block interleave/map, block pilot
 insertion, one planned IFFT, strided cyclic-prefix gather) and the fused
-channel pipeline in :mod:`repro.channel.model`.  Each keeps its original
-scalar/stage-at-a-time implementation around precisely so these
-property-style tests can assert exact equality across random codewords,
+channel pipeline in :mod:`repro.channel.model`.  The codec hot paths keep
+their scalar implementations in ``src/``; the transmit, receive and
+channel references live in ``tests/reference_paths.py``.  These
+property-style tests assert exact equality across random codewords,
 constellations, noise levels, puncturing patterns, impairment combinations
 and full transceiver configurations.
 """
@@ -28,6 +29,12 @@ from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT
 from repro.modulation.constellations import Modulation
 from repro.modulation.demapper import SymbolDemapper
+from reference_paths import (
+    estimate_channel,
+    reference_channel,
+    reference_receiver,
+    reference_transmitter,
+)
 
 ALL_RATES = [CodeRate.RATE_1_2, CodeRate.RATE_2_3, CodeRate.RATE_3_4]
 ALL_MODULATIONS = [
@@ -185,15 +192,11 @@ def _receive_both_ways(config, channel, n_info_bits=360, seed=0, noise_variance=
     transmitter = MimoTransmitter(config)
     burst = transmitter.transmit_random(n_info_bits, rng=np.random.default_rng(seed))
     samples = channel.transmit(burst.samples).samples if channel is not None else burst.samples
-    results = []
-    for vectorized in (True, False):
-        receiver = MimoReceiver(config, vectorized=vectorized)
-        results.append(
-            receiver.receive(
-                samples, n_info_bits=n_info_bits, noise_variance=noise_variance
-            )
-        )
-    return results
+    receiver = MimoReceiver(config)
+    return [
+        path.receive(samples, n_info_bits=n_info_bits, noise_variance=noise_variance)
+        for path in (receiver, reference_receiver(receiver))
+    ]
 
 
 def _assert_results_identical(batched, scalar):
@@ -257,6 +260,21 @@ class TestReceiverBatchAgreement:
         _assert_results_identical(batched, scalar)
         assert all(s.bit_errors in (None, 0) for s in batched.streams)
 
+    @pytest.mark.parametrize("rate", ALL_RATES)
+    @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
+    def test_code_grid_agrees(self, modulation, rate):
+        # The receiver's block demap/deinterleave/decode must track the
+        # per-symbol reference for every constellation and puncturing.
+        config = TransceiverConfig(
+            modulation=modulation, code_rate=rate, soft_decision=True
+        )
+        seed = 2000 + 10 * modulation.bits_per_symbol + ALL_RATES.index(rate)
+        channel = MimoChannel(
+            FlatRayleighChannel(rng=seed), snr_db=24.0, rng=seed + 1
+        )
+        batched, scalar = _receive_both_ways(config, channel, seed=seed + 2)
+        _assert_results_identical(batched, scalar)
+
     @pytest.mark.parametrize("n_streams", [2, 4])
     def test_channel_estimation_agrees(self, n_streams):
         config = TransceiverConfig(n_antennas=n_streams)
@@ -266,11 +284,10 @@ class TestReceiverBatchAgreement:
             FlatRayleighChannel(n_streams, n_streams, rng=61), snr_db=25.0, rng=62
         )
         samples = channel.transmit(burst.samples).samples
-        batched = MimoReceiver(config, vectorized=True)
-        scalar = MimoReceiver(config, vectorized=False)
-        lts_start = batched.synchronize(samples)
-        est_b = batched.estimate_channel(samples, lts_start)
-        est_s = scalar.estimate_channel(samples, lts_start)
+        receiver = MimoReceiver(config)
+        lts_start = receiver.synchronize(samples)
+        est_b = receiver.estimate_channel(samples, lts_start)
+        est_s = estimate_channel(receiver, samples, lts_start)
         np.testing.assert_array_equal(est_b.matrices, est_s.matrices)
         np.testing.assert_array_equal(est_b.inverses, est_s.inverses)
 
@@ -288,8 +305,9 @@ class TestTransmitterBatchAgreement:
             rng.integers(0, 2, size=int(rng.integers(40, 700)), dtype=np.uint8)
             for _ in range(config.n_streams)
         ]
-        batched = MimoTransmitter(config, vectorized=True).transmit(bits)
-        scalar = MimoTransmitter(config, vectorized=False).transmit(bits)
+        transmitter = MimoTransmitter(config)
+        batched = transmitter.transmit(bits)
+        scalar = reference_transmitter(transmitter).transmit(bits)
         np.testing.assert_array_equal(batched.samples, scalar.samples)
         np.testing.assert_array_equal(
             batched.frequency_symbols, scalar.frequency_symbols
@@ -304,8 +322,9 @@ class TestTransmitterBatchAgreement:
         bits = [
             rng.integers(0, 2, size=300, dtype=np.uint8) for _ in range(n_streams)
         ]
-        batched = MimoTransmitter(config, vectorized=True).transmit(bits)
-        scalar = MimoTransmitter(config, vectorized=False).transmit(bits)
+        transmitter = MimoTransmitter(config)
+        batched = transmitter.transmit(bits)
+        scalar = reference_transmitter(transmitter).transmit(bits)
         np.testing.assert_array_equal(batched.samples, scalar.samples)
 
     def test_pilot_insert_block_matches_per_symbol_insert(self):
@@ -346,9 +365,10 @@ class TestTransmitterBatchAgreement:
             for _ in range(config.n_streams)
         ]
         receiver = MimoReceiver(config)
+        transmitter = MimoTransmitter(config)
         results = []
-        for vectorized in (True, False):
-            burst = MimoTransmitter(config, vectorized=vectorized).transmit(bits)
+        for path in (transmitter, reference_transmitter(transmitter)):
+            burst = path.transmit(bits)
             channel = MimoChannel(
                 FlatRayleighChannel(rng=seed + 1), snr_db=16.0, rng=seed + 2
             )
@@ -398,24 +418,75 @@ class TestChannelFusedAgreement:
         kwargs["tx_quantization"] = SAMPLE_FORMAT_16BIT
         kwargs["rx_quantization"] = SAMPLE_FORMAT_16BIT
 
-        def build(vectorized):
+        def build():
             if fading == "flat":
                 model = FlatRayleighChannel(4, 4, rng=np.random.default_rng(5001))
             elif fading == "selective":
                 model = FrequencySelectiveChannel(4, 4, rng=np.random.default_rng(5001))
             else:
                 model = None
-            return MimoChannel(
-                model,
-                rng=np.random.default_rng(5002),
-                vectorized=vectorized,
-                **kwargs,
-            )
+            return MimoChannel(model, rng=np.random.default_rng(5002), **kwargs)
 
-        fused = build(True).transmit(x)
-        staged = build(False).transmit(x)
+        fused = build().transmit(x)
+        staged = reference_channel(build()).transmit(x)
         np.testing.assert_array_equal(fused.samples, staged.samples)
         assert fused.noise_variance == staged.noise_variance
+
+
+    @pytest.mark.parametrize("n_antennas", [1, 2])
+    def test_smaller_arrays_agree(self, n_antennas):
+        rng = np.random.default_rng(5100 + n_antennas)
+        x = rng.normal(size=(n_antennas, 900)) + 1j * rng.normal(size=(n_antennas, 900))
+
+        def build():
+            model = FrequencySelectiveChannel(
+                n_antennas, n_antennas, rng=np.random.default_rng(5103)
+            )
+            return MimoChannel(
+                model,
+                snr_db=10.0,
+                cfo_normalized=5e-5,
+                sample_delay=9,
+                rng=np.random.default_rng(5104),
+            )
+
+        fused = build().transmit(x)
+        staged = reference_channel(build()).transmit(x)
+        np.testing.assert_array_equal(fused.samples, staged.samples)
+        assert fused.noise_variance == staged.noise_variance
+
+
+class TestReferenceCopiesAreIsolated:
+    """The reference builders return copies and leave the original batched.
+
+    If a builder patched the object it was given, every agreement test
+    above would compare the reference against itself and pass vacuously.
+    """
+
+    def test_transmitter_original_keeps_its_block_stages(self, paper_config):
+        transmitter = MimoTransmitter(paper_config)
+        reference = reference_transmitter(transmitter)
+        assert reference is not transmitter
+        assert "_map_block" not in vars(transmitter)
+        assert "_modulate_block" not in vars(transmitter)
+        assert "_map_block" in vars(reference)
+        assert "_modulate_block" in vars(reference)
+
+    def test_receiver_original_keeps_its_block_stages(self, paper_config):
+        receiver = MimoReceiver(paper_config)
+        reference = reference_receiver(receiver)
+        assert reference is not receiver
+        assert "estimate_channel" not in vars(receiver)
+        assert "equalize_burst" not in vars(receiver)
+        assert reference.estimate_channel.func is estimate_channel
+        assert reference.estimate_channel.args == (reference,)
+
+    def test_channel_original_keeps_its_fused_pipeline(self):
+        channel = MimoChannel(snr_db=10.0, rng=5200)
+        reference = reference_channel(channel)
+        assert reference is not channel
+        assert "_transmit_fused" not in vars(channel)
+        assert reference._transmit_fused.args == (reference,)
 
 
 class TestPilotBlockAgreement:

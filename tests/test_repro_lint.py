@@ -62,9 +62,6 @@ FIXTURE_CASES = [
     ("exc_linalg_ok.py", "src/repro/mimo/fixture.py", {}),
     ("shape_bad.py", "src/repro/mimo/fixture.py", {"SHAPE001": 3}),
     ("shape_ok.py", "src/repro/mimo/fixture.py", {}),
-    ("dtype_bad.py", "src/repro/core/fixture.py", {"DTYPE001": 4}),
-    ("dtype_bad.py", "src/repro/dsp/fixture.py", {}),  # the seam itself is exempt
-    ("dtype_ok.py", "src/repro/core/fixture.py", {}),
     ("unit_bad.py", "src/repro/channel/fixture.py", {"UNIT001": 4}),
     ("unit_bad.py", "src/repro/utils/units.py", {}),  # the converter module is exempt
     ("unit_ok.py", "src/repro/channel/fixture.py", {}),
@@ -154,13 +151,6 @@ def test_suppression_for_unselected_rule_is_not_flagged_useless():
             "  # reprolint: disable=SHAPE001 -- fixture justification\n",
         ),
         (
-            "DTYPE001",
-            "import numpy as np\n"
-            "x = np.zeros(4, dtype=np.complex64)"
-            " + np.zeros(4, dtype=np.complex128)"
-            "  # reprolint: disable=DTYPE001 -- fixture justification\n",
-        ),
-        (
             "UNIT001",
             "def f(snr_db):\n"
             "    return 10.0 ** (snr_db / 10.0)"
@@ -172,7 +162,7 @@ def test_dataflow_rule_suppressions_respect_select_subsets(rule_id, source):
     """--select runs without a dataflow rule must not flag its suppressions.
 
     Mirrors ``test_suppression_for_unselected_rule_is_not_flagged_useless``
-    for the three dataflow rules: a suppression that never got the chance
+    for the two dataflow rules: a suppression that never got the chance
     to fire (rule unselected) is ignored, one that fires is consumed, and
     a dead one still trips LINT002 under the full set.
     """

@@ -117,6 +117,41 @@ class TestCorruptionTolerance:
         assert store.get("good") == {"value": 1}
         assert store.keys() == {"good"}
 
+    @pytest.mark.parametrize("payload", ["[1, 2, 3]", '"a string"', "42", "null"])
+    def test_non_dict_payload_is_a_miss(self, tmp_path, payload):
+        # put() only ever stores dict payloads, so a record for the key whose
+        # payload parses to anything else is corruption: it must read as a
+        # miss, never reach SweepPointResult.from_dict, and must not shadow
+        # the intact record written before it.
+        store = ResultStore(tmp_path)
+        assert store.get("odd") is None
+        shard = store.shard_path("odd")
+        shard.parent.mkdir(parents=True, exist_ok=True)
+        shard.write_text(f'{{"key": "odd", "payload": {payload}}}\n')
+        assert store.get("odd") is None
+        assert "odd" not in store
+        store.put("odd", {"value": 1})
+        with shard.open("a") as handle:
+            handle.write(f'{{"key": "odd", "payload": {payload}}}\n')
+        assert store.get("odd") == {"value": 1}
+        assert store.get_many(["odd"]) == {"odd": {"value": 1}}
+
+    def test_failed_put_preserves_the_previous_record(self, tmp_path, monkeypatch):
+        # Dying before the record's single write lands must leave the
+        # previous value readable and the shard free of partial lines.
+        store = ResultStore(tmp_path)
+        store.put("key", {"value": "old"})
+
+        def boom(fd, data):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.sim.store.os.write", boom)
+        with pytest.raises(KeyboardInterrupt):
+            store.put("key", {"value": "new"})
+        monkeypatch.undo()
+        assert store.get("key") == {"value": "old"}
+        assert len(store.shard_path("key").read_text().splitlines()) == 1
+
     def test_missing_directory_reads_as_empty(self, tmp_path):
         store = ResultStore(tmp_path / "never-created")
         assert store.get("k") is None

@@ -3,13 +3,13 @@
 The repo's correctness rests on a handful of hand-enforced contracts:
 deterministic content-keyed seeding, ``ENGINE_VERSION`` bumps whenever
 simulation semantics change, all transform arithmetic routed through the
-``repro.dsp`` backend seam, and hot-path failures surfacing as
+``repro.dsp`` FFT plans, and hot-path failures surfacing as
 ``DecodingError`` so pooled sweeps count lost frames instead of dying.
 ``repro_lint`` machine-enforces those contracts as static-analysis rules:
 
 ========  ==============================================================
 SEAM001   no ``np.fft``/``scipy.fft`` outside ``repro/dsp`` — transforms
-          go through ``get_plan`` / the ``DspBackend`` seam
+          go through ``repro.dsp.fft`` (``fft``/``ifft``/``get_plan``)
 DET001    no global-state RNG (``np.random.<sampler>``, the ``random``
           module, unseeded ``default_rng()``) in engine/datapath code
 DET002    no wall-clock reads (``time.time``, ``datetime.now``) in
@@ -25,9 +25,6 @@ EXC002    raising ``np.linalg`` solvers in datapath code must translate
           ``LinAlgError`` into ``DecodingError``
 SHAPE001  declared ``@shaped`` contracts, einsum subscripts and shape
           unpacks must hold wherever dimensions are statically known
-DTYPE001  no complex64/complex128 mixing, and no hard-coded complex
-          dtype meeting a ``DspBackend``-produced value, outside
-          ``repro/dsp``
 UNIT001   dB and linear power domains only meet through
           ``repro.utils.units`` conversions
 LINT001   suppression comments must carry a written justification

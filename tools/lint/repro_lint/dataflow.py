@@ -1,11 +1,9 @@
 """Lightweight intraprocedural dataflow over array facts.
 
-The shape/dtype/unit rules (SHAPE001, DTYPE001, UNIT001) all need the same
-thing: an approximation of what each local variable holds — its array
-*shape* (a tuple of literal ints and symbolic dimension names), its complex
-*dtype* (``complex64``/``complex128``, or the polymorphic ``backend`` dtype
-produced by the :class:`repro.dsp.backend.DspBackend` seam), and its power
-*unit* domain (``db`` vs ``linear``).  This module computes those facts
+The shape and unit rules (SHAPE001, UNIT001) both need the same thing: an
+approximation of what each local variable holds — its array *shape* (a
+tuple of literal ints and symbolic dimension names) and its power *unit*
+domain (``db`` vs ``linear``).  This module computes those facts
 with a forward pass over each function body — assignments, calls,
 ``einsum``/``reshape``/``transpose``, subscripts, branches — and records
 every interesting intermediate step as an *event* the rules pattern-match.
@@ -17,8 +15,8 @@ Design constraints, in order:
    (``None``).  Rules only fire on facts the pass actually proved.
 2. **Module-local summaries.**  A call to a function defined in the same
    module (``self._modulate_block(...)``) uses that function's analysed
-   return fact, so a backend-produced dtype survives one hop of
-   refactoring into helpers.  Nothing crosses module boundaries.
+   return fact, so a declared shape survives one hop of refactoring into
+   helpers.  Nothing crosses module boundaries.
 3. **One pass per file.**  The analysis runs once per module and caches
    its event log on the :class:`~repro_lint.core.FileContext`; every rule
    reads the same log.
@@ -51,9 +49,6 @@ class Fact:
     """What the pass knows about one value.  ``None`` fields mean unknown."""
 
     shape: Shape = None
-    #: "complex64" | "complex128" | "backend" (seam-produced, polymorphic)
-    #: | "backend_obj" (a DspBackend instance itself) | None.
-    dtype: Optional[str] = None
     #: "db" | "linear" | None.
     unit: Optional[str] = None
 
@@ -65,7 +60,6 @@ class Fact:
         """Join of two control-flow paths: keep only what both agree on."""
         return Fact(
             shape=self.shape if self.shape == other.shape else None,
-            dtype=self.dtype if self.dtype == other.dtype else None,
             unit=self.unit if self.unit == other.unit else None,
         )
 
@@ -258,30 +252,11 @@ class BinOpEvent:
 
 
 @dataclass(frozen=True)
-class StoreEvent:
-    """A subscript assignment ``target[...] = value``."""
-
-    node: ast.AST
-    target: Fact
-    value: Fact
-    func: str
-
-
-@dataclass(frozen=True)
 class CallEvent:
     node: ast.Call
     canonical: Optional[str]
     arg_facts: Tuple[Fact, ...]
     kw_facts: Dict[str, Fact]
-    func: str
-
-
-@dataclass(frozen=True)
-class ConcatEvent:
-    """``np.concatenate``/``np.stack``-family call with element facts."""
-
-    node: ast.Call
-    elements: Tuple[Fact, ...]
     func: str
 
 
@@ -305,15 +280,6 @@ class ShapedCallEvent:
 
 
 @dataclass(frozen=True)
-class ReturnSetEvent:
-    """All return-statement facts of one analysed function."""
-
-    node: ast.AST  # the FunctionDef
-    qualname: str
-    facts: Tuple[Tuple[ast.AST, Fact], ...]
-
-
-@dataclass(frozen=True)
 class UnpackEvent:
     """``a, b, c = x.shape`` — arity vs the known rank of ``x``."""
 
@@ -326,12 +292,9 @@ class UnpackEvent:
 @dataclass
 class EventLog:
     binops: List[BinOpEvent] = field(default_factory=list)
-    stores: List[StoreEvent] = field(default_factory=list)
     calls: List[CallEvent] = field(default_factory=list)
-    concats: List[ConcatEvent] = field(default_factory=list)
     einsums: List[EinsumEvent] = field(default_factory=list)
     shaped_calls: List[ShapedCallEvent] = field(default_factory=list)
-    return_sets: List[ReturnSetEvent] = field(default_factory=list)
     unpacks: List[UnpackEvent] = field(default_factory=list)
 
 
@@ -380,17 +343,6 @@ _ELEMENTWISE = frozenset(
         "numpy.copy",
     }
 )
-_CONCAT_FUNCS = frozenset(
-    {"numpy.concatenate", "numpy.stack", "numpy.vstack", "numpy.hstack"}
-)
-_COMPLEX_DTYPES = {
-    "numpy.complex64": "complex64",
-    "numpy.complex128": "complex128",
-    "complex64": "complex64",
-    "complex128": "complex128",
-}
-#: DspBackend methods that produce arrays in the backend's working dtype.
-_BACKEND_PRODUCERS = frozenset({"fft", "ifft", "asarray", "zeros"})
 
 
 def _dim_of(node: ast.AST) -> Dim:
@@ -416,27 +368,6 @@ def _shape_from_arg(node: ast.AST) -> Shape:
     return (dim,)
 
 
-def _dtype_from_node(node: ast.AST, imports: ImportMap) -> Optional[str]:
-    """Complex dtype named by a ``dtype=`` argument, if recognisable."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return _COMPLEX_DTYPES.get(node.value)
-    canonical = resolve(node, imports)
-    if canonical is not None:
-        return _COMPLEX_DTYPES.get(canonical)
-    return None
-
-
-def _dtype_from_annotation(node: ast.AST, imports: ImportMap) -> Optional[str]:
-    """Complex dtype of an ``NDArray[np.complex64]``-style annotation."""
-    # Annotations may be strings under `from __future__ import annotations`
-    # at runtime, but in the AST they are ordinary subscript expressions.
-    if isinstance(node, ast.Subscript):
-        base = resolve(node.value, imports)
-        if base and base.split(".")[-1] == "NDArray":
-            return _dtype_from_node(node.slice, imports)
-    return None
-
-
 def _broadcast(left: Shape, right: Shape) -> Shape:
     if left is None or right is None:
         return None
@@ -458,19 +389,6 @@ def _broadcast(left: Shape, right: Shape) -> Shape:
         else:
             dims.append(None)
     return tuple(dims)
-
-
-def _promote_dtype(left: Optional[str], right: Optional[str]) -> Optional[str]:
-    if left == right:
-        return left
-    pair = {left, right}
-    if pair == {"complex64", "complex128"}:
-        return "complex128"
-    if "backend" in pair and ("complex128" in pair or "complex64" in pair):
-        # The hard-coded side wins under numpy promotion when it is the
-        # wider double dtype; the result is no longer backend-polymorphic.
-        return "complex128" if "complex128" in pair else None
-    return None
 
 
 def _combine_unit(op: ast.operator, left: Optional[str], right: Optional[str]) -> Optional[str]:
@@ -585,10 +503,7 @@ class ModuleDataflow:
                     (dim if isinstance(dim, str) else None)
                     for dim in alternatives[0]
                 )
-        dtype = None
-        if annotation is not None:
-            dtype = _dtype_from_annotation(annotation, self.imports)
-        return Fact(shape=shape, dtype=dtype, unit=unit_from_name(name))
+        return Fact(shape=shape, unit=unit_from_name(name))
 
     def _analyze_function(self, key: Tuple[str, str], func: ast.AST) -> Fact:
         classname, name = key
@@ -615,10 +530,6 @@ class ModuleDataflow:
                 delattr(self, "_returns")
             else:
                 self._returns = prev_returns
-        if facts:
-            self.events.return_sets.append(
-                ReturnSetEvent(node=func, qualname=qual, facts=facts)
-            )
         summary = UNKNOWN
         if facts:
             summary = facts[0][1]
@@ -632,7 +543,7 @@ class ModuleDataflow:
                     dim if isinstance(dim, (int, str)) else None
                     for dim in alternatives[0]
                 )
-                summary = Fact(shape=shape, dtype=summary.dtype, unit=summary.unit)
+                summary = Fact(shape=shape, unit=summary.unit)
         return summary
 
     # -- statements ----------------------------------------------------
@@ -653,9 +564,6 @@ class ModuleDataflow:
             fact = UNKNOWN
             if stmt.value is not None:
                 fact = self._eval(stmt.value, env, funcname)
-            dtype = _dtype_from_annotation(stmt.annotation, self.imports)
-            if dtype is not None:
-                fact = Fact(shape=fact.shape, dtype=dtype, unit=fact.unit)
             if isinstance(stmt.target, ast.Name):
                 env[stmt.target.id] = fact
         elif isinstance(stmt, ast.AugAssign):
@@ -667,11 +575,8 @@ class ModuleDataflow:
                 BinOpEvent(node=binop, left=left, right=right, func=funcname)
             )
             if isinstance(stmt.target, ast.Name):
-                # In-place updates keep the buffer's dtype; only join the
-                # unit/shape information.
                 env[stmt.target.id] = Fact(
                     shape=_broadcast(left.shape, right.shape),
-                    dtype=left.dtype,
                     unit=_combine_unit(stmt.op, left.unit, right.unit),
                 )
         elif isinstance(stmt, ast.Return):
@@ -749,10 +654,7 @@ class ModuleDataflow:
         if isinstance(target, ast.Name):
             env[target.id] = fact
         elif isinstance(target, ast.Subscript):
-            target_fact = self._eval(target.value, env, funcname)
-            self.events.stores.append(
-                StoreEvent(node=target, target=target_fact, value=fact, func=funcname)
-            )
+            self._eval(target.value, env, funcname)
         elif isinstance(target, (ast.Tuple, ast.List)):
             # ``a, b, c = x.shape`` — the load-bearing unpack: it both
             # checks a known rank and *infers* an unknown one.
@@ -772,9 +674,7 @@ class ModuleDataflow:
                         element.id if isinstance(element, ast.Name) else None
                         for element in target.elts
                     )
-                    env[value_node.value.id] = Fact(
-                        shape=names, dtype=source.dtype, unit=source.unit
-                    )
+                    env[value_node.value.id] = Fact(shape=names, unit=source.unit)
                 for element in target.elts:
                     if isinstance(element, ast.Name):
                         env[element.id] = SCALAR
@@ -809,9 +709,9 @@ class ModuleDataflow:
             base = self._eval(node.value, env, funcname)
             if node.attr == "T":
                 shape = None if base.shape is None else tuple(reversed(base.shape))
-                return Fact(shape=shape, dtype=base.dtype, unit=base.unit)
+                return Fact(shape=shape, unit=base.unit)
             if node.attr in ("real", "imag"):
-                return Fact(shape=base.shape, dtype=None, unit=base.unit)
+                return Fact(shape=base.shape, unit=base.unit)
             return Fact(unit=unit_from_name(node.attr))
         if isinstance(node, ast.BinOp):
             left = self._eval(node.left, env, funcname)
@@ -821,7 +721,6 @@ class ModuleDataflow:
             )
             return Fact(
                 shape=_broadcast(left.shape, right.shape),
-                dtype=_promote_dtype(left.dtype, right.dtype),
                 unit=_combine_unit(node.op, left.unit, right.unit),
             )
         if isinstance(node, ast.UnaryOp):
@@ -906,43 +805,26 @@ class ModuleDataflow:
                 )
             return self._summary(local)
 
-        # Backend seam: method calls on a DspBackend value.
+        # Shape-transforming array methods.
         method = self._method_call_base(node.func)
         if method is not None:
             base_node, attr = method
-            base_fact = self._eval(base_node, env, funcname)
-            base_name = dotted_name(base_node) or ""
-            is_backend = base_fact.dtype == "backend_obj" or (
-                base_name.split(".")[-1] in ("backend", "_backend")
-            )
-            if is_backend and attr in _BACKEND_PRODUCERS:
-                shape = None
-                if attr == "zeros" and node.args:
-                    shape = _shape_from_arg(node.args[0])
-                elif attr in ("fft", "ifft", "asarray") and arg_facts:
-                    shape = arg_facts[0].shape
-                return Fact(shape=shape, dtype="backend")
+            base = self._eval(base_node, env, funcname)
             if attr == "astype" and node.args:
-                dtype = _dtype_from_node(node.args[0], self.imports)
-                base = self._eval(base_node, env, funcname)
-                return Fact(shape=base.shape, dtype=dtype, unit=base.unit)
+                return Fact(shape=base.shape, unit=base.unit)
             if attr == "reshape":
-                base = self._eval(base_node, env, funcname)
                 if len(node.args) == 1:
                     shape = _shape_from_arg(node.args[0])
                 else:
                     shape = tuple(_dim_of(arg) for arg in node.args)
-                shape = _normalise_reshape(shape)
-                return Fact(shape=shape, dtype=base.dtype, unit=base.unit)
+                return Fact(shape=_normalise_reshape(shape), unit=base.unit)
             if attr == "transpose":
-                base = self._eval(base_node, env, funcname)
                 return Fact(shape=_transpose_shape(base.shape, node.args),
-                            dtype=base.dtype, unit=base.unit)
+                            unit=base.unit)
             if attr in ("copy", "conj", "conjugate"):
-                return self._eval(base_node, env, funcname)
+                return base
             if attr in ("ravel", "flatten"):
-                base = self._eval(base_node, env, funcname)
-                return Fact(shape=(None,), dtype=base.dtype, unit=base.unit)
+                return Fact(shape=(None,), unit=base.unit)
 
         if canonical is None:
             return UNKNOWN
@@ -956,37 +838,22 @@ class ModuleDataflow:
             shape = arg_facts[0].shape if arg_facts else None
             return Fact(shape=shape, unit="db")
 
-        # Backend factories.
-        if canonical.endswith("get_backend") or canonical.endswith("default_backend"):
-            return Fact(dtype="backend_obj")
-
         # numpy surface.
         if canonical in _SHAPE_CTORS and node.args:
-            shape = _shape_from_arg(node.args[0])
-            dtype = None
-            for keyword in node.keywords:
-                if keyword.arg == "dtype":
-                    dtype = _dtype_from_node(keyword.value, self.imports)
-            return Fact(shape=shape, dtype=dtype)
+            return Fact(shape=_shape_from_arg(node.args[0]))
         if canonical in ("numpy.asarray", "numpy.array") and node.args:
             inner = arg_facts[0]
-            dtype = inner.dtype
-            for keyword in node.keywords:
-                if keyword.arg == "dtype":
-                    dtype = _dtype_from_node(keyword.value, self.imports) or None
-            return Fact(shape=inner.shape, dtype=dtype, unit=inner.unit)
+            return Fact(shape=inner.shape, unit=inner.unit)
         if canonical == "numpy.reshape" and node.args:
             inner = arg_facts[0]
             shape = _shape_from_arg(node.args[1]) if len(node.args) > 1 else None
-            return Fact(shape=_normalise_reshape(shape), dtype=inner.dtype,
-                        unit=inner.unit)
+            return Fact(shape=_normalise_reshape(shape), unit=inner.unit)
         if canonical == "numpy.transpose" and node.args:
             inner = arg_facts[0]
             return Fact(shape=_transpose_shape(inner.shape, node.args[1:]),
-                        dtype=inner.dtype, unit=inner.unit)
+                        unit=inner.unit)
         if canonical == "numpy.broadcast_to" and len(node.args) > 1:
-            return Fact(shape=_shape_from_arg(node.args[1]),
-                        dtype=arg_facts[0].dtype)
+            return Fact(shape=_shape_from_arg(node.args[1]))
         if canonical == "numpy.eye":
             dim = _dim_of(node.args[0]) if node.args else None
             return Fact(shape=(dim, dim))
@@ -996,22 +863,6 @@ class ModuleDataflow:
             return arg_facts[0]
         if canonical == "numpy.abs" and arg_facts:
             return Fact(shape=arg_facts[0].shape, unit=arg_facts[0].unit)
-        if canonical in _CONCAT_FUNCS and node.args:
-            first = node.args[0]
-            if isinstance(first, (ast.List, ast.Tuple)):
-                elements = tuple(
-                    self._eval(element, env, funcname) for element in first.elts
-                )
-                self.events.concats.append(
-                    ConcatEvent(node=node, elements=elements, func=funcname)
-                )
-                dtype = None
-                if elements:
-                    dtype = elements[0].dtype
-                    for element in elements[1:]:
-                        dtype = _promote_dtype(dtype, element.dtype)
-                return Fact(dtype=dtype)
-            return UNKNOWN
         if canonical == "numpy.einsum" and node.args:
             spec_node = node.args[0]
             if isinstance(spec_node, ast.Constant) and isinstance(
@@ -1036,7 +887,7 @@ class ModuleDataflow:
         index = node.slice
         index_fact = self._eval(index, env, funcname)
         if base.shape is None:
-            return Fact(dtype=base.dtype, unit=base.unit)
+            return Fact(unit=base.unit)
         items = list(index.elts) if isinstance(index, ast.Tuple) else [index]
         dims: List[Dim] = list(base.shape)
         out: List[Dim] = []
@@ -1069,9 +920,9 @@ class ModuleDataflow:
                     advanced = True
                     position += 1
         if advanced or saw_ellipsis and position > len(dims):
-            return Fact(dtype=base.dtype, unit=base.unit)
+            return Fact(unit=base.unit)
         out.extend(dims[position:])
-        return Fact(shape=tuple(out), dtype=base.dtype, unit=base.unit)
+        return Fact(shape=tuple(out), unit=base.unit)
 
 
 def _normalise_reshape(shape: Shape) -> Shape:

@@ -8,7 +8,7 @@ unchecked until they grow annotations.
 
 Mirrors the ruff pattern of the lint target: when mypy is not installed
 the pass is *skipped with a warning* and exits 0 — the repro_lint
-dataflow rules (SHAPE001/DTYPE001/UNIT001) still gate the contracts that
+dataflow rules (SHAPE001/UNIT001) still gate the contracts that
 matter most, and offline containers must not fail the build for a
 missing optional tool.
 
@@ -65,7 +65,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if command is None:
         print(
             "typecheck: mypy not installed; skipping static type pass "
-            "(repro_lint dataflow rules already gate shape/dtype/unit "
+            "(repro_lint dataflow rules already gate shape/unit "
             "contracts)",
             file=sys.stderr,
         )
