@@ -6,14 +6,12 @@ same generic :class:`~repro.coding.convolutional.ConvolutionalCode` the
 encoder uses, hard- or soft-decision branch metrics, and depuncturing of the
 802.11a punctured rates.
 
-Two add-compare-select implementations are provided: a fully vectorised
-path (the default, used by the :mod:`repro.sim` sweep engine's hot loop)
-that resolves every trellis step with a handful of NumPy gather/argmin
-operations over a precomputed predecessor table, and the original
-per-branch scalar path kept as the reference the agreement tests in
-``tests/test_hot_path_agreement.py`` validate against.  Both paths are
-bit-exact: they evaluate the identical ``metric + branch`` floating-point
-expressions and break ties toward the smaller ``(state, bit)`` flat index.
+The add-compare-select recursion is vectorised: every trellis step is
+resolved with a handful of NumPy gather/argmin operations over a
+precomputed predecessor table, breaking ties toward the smaller
+``(state, bit)`` flat index.  The original per-branch scalar recursion
+lives with the agreement tests (``tests/reference_paths.py``) as the
+bit-exact reference.
 """
 
 from __future__ import annotations
@@ -45,11 +43,6 @@ class ViterbiDecoder:
         Kept for API completeness / resource modelling; this software decoder
         always runs full-block traceback, which upper-bounds the hardware's
         windowed traceback performance.
-    vectorized:
-        Use the NumPy-vectorised add-compare-select path (default).  The
-        scalar path is retained for the bit-exact agreement tests and for
-        exotic codes whose trellis is not uniform (a different number of
-        branches into each state).
     """
 
     def __init__(
@@ -57,14 +50,12 @@ class ViterbiDecoder:
         code: Optional[ConvolutionalCode] = None,
         decision: str = "hard",
         traceback_length: int = 96,
-        vectorized: bool = True,
     ) -> None:
         if decision not in ("hard", "soft"):
             raise ValueError("decision must be 'hard' or 'soft'")
         self.code = code if code is not None else ConvolutionalCode.ieee80211a()
         self.decision = decision
         self.traceback_length = traceback_length
-        self.vectorized = vectorized
         self._next_states, self._outputs = self.code.build_trellis()
         n = self.code.n_outputs
         # outputs unpacked to individual bits, shape (n_states, 2, n_outputs)
@@ -72,22 +63,17 @@ class ViterbiDecoder:
         self._output_bits = ((self._outputs[..., None] >> shifts) & 1).astype(np.float64)
         self._predecessors = self._build_predecessor_table()
 
-    def _build_predecessor_table(self) -> Optional[np.ndarray]:
+    def _build_predecessor_table(self) -> np.ndarray:
         """Flat ``(state, bit)`` indices feeding each next state.
 
         Row ``ns`` lists every flat index ``prev * 2 + bit`` whose branch
         lands in state ``ns``, sorted ascending so that ``argmin`` (which
-        returns the first minimum) reproduces the scalar path's stable
-        tie-break toward the smaller flat index.  Returns ``None`` when the
-        trellis is not uniform, in which case decoding falls back to the
-        scalar path.
+        returns the first minimum) breaks ties toward the smaller flat
+        index.  The next state is a pure shift of the input bit into the
+        register, so every state has exactly two predecessors.
         """
-        flat_next = self._next_states.ravel()
-        counts = np.bincount(flat_next, minlength=self.code.n_states)
-        if counts.min() == 0 or counts.min() != counts.max():
-            return None
-        order = np.argsort(flat_next, kind="stable")
-        return order.reshape(self.code.n_states, counts[0])
+        order = np.argsort(self._next_states.ravel(), kind="stable")
+        return order.reshape(self.code.n_states, 2)
 
     # ------------------------------------------------------------------
     # depuncturing
@@ -139,32 +125,16 @@ class ViterbiDecoder:
     # ------------------------------------------------------------------
     # branch metrics
     # ------------------------------------------------------------------
-    def _branch_metrics(
-        self, observation: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Metric of each (state, input) branch for one trellis step.
-
-        Lower is better.  ``observation`` and ``mask`` have length
-        ``n_outputs``.
-        """
-        if self.decision == "hard":
-            # Hamming distance over non-erased positions.
-            diff = np.abs(self._output_bits - observation[None, None, :])
-            return (diff * mask[None, None, :]).sum(axis=-1)
-        # Soft decision: LLR convention is positive => bit 0 more likely.
-        # Metric = sum over outputs of (bit ? +LLR : -LLR), lower better.
-        signs = 1.0 - 2.0 * self._output_bits  # bit0 -> +1, bit1 -> -1
-        return -(signs * (observation * mask)[None, None, :]).sum(axis=-1)
-
     def _branch_metrics_block(
         self, observations: np.ndarray, mask: np.ndarray
     ) -> np.ndarray:
         """Branch metrics for every trellis step at once.
 
         ``observations`` and ``mask`` have shape ``(n_steps, n_outputs)``;
-        the result has shape ``(n_steps, n_states, 2)``.  The arithmetic is
-        the per-step :meth:`_branch_metrics` expression broadcast over steps,
-        so the two are bit-identical.
+        the result has shape ``(n_steps, n_states, 2)``.  Lower is better:
+        hard decisions score the Hamming distance over non-erased positions,
+        soft decisions (positive LLR means bit 0 more likely) the sum over
+        outputs of ``bit ? +LLR : -LLR``.
         """
         if self.decision == "hard":
             diff = np.abs(self._output_bits[None] - observations[:, None, None, :])
@@ -215,12 +185,7 @@ class ViterbiDecoder:
 
         observations, mask = self.depuncture(values, n_steps)
 
-        if self.vectorized and self._predecessors is not None:
-            metrics, survivors, survivor_bits = self._acs_vectorized(
-                observations, mask
-            )
-        else:
-            metrics, survivors, survivor_bits = self._acs_scalar(observations, mask)
+        metrics, survivors, survivor_bits = self._acs(observations, mask)
 
         end_state = 0 if terminated else int(np.argmin(metrics))
         decoded = np.zeros(n_steps, dtype=np.uint8)
@@ -233,7 +198,7 @@ class ViterbiDecoder:
     # ------------------------------------------------------------------
     # add-compare-select
     # ------------------------------------------------------------------
-    def _acs_vectorized(
+    def _acs(
         self, observations: np.ndarray, mask: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised ACS recursion over the whole block.
@@ -242,8 +207,8 @@ class ViterbiDecoder:
         metrics through the precomputed predecessor table followed by a
         row-wise ``argmin`` — no Python loop over states or branches.
         ``argmin`` returns the first minimum and the predecessor rows are
-        sorted by flat ``(state, bit)`` index, matching the scalar path's
-        stable tie-break exactly.
+        sorted by flat ``(state, bit)`` index, matching the scalar
+        reference's stable tie-break exactly.
         """
         n_steps = observations.shape[0]
         n_states = self.code.n_states
@@ -263,45 +228,4 @@ class ViterbiDecoder:
             metrics = contenders[rows, choice]
             survivors[step] = winners >> 1
             survivor_bits[step] = (winners & 1).astype(np.uint8)
-        return metrics, survivors, survivor_bits
-
-    def _acs_scalar(
-        self, observations: np.ndarray, mask: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference per-branch ACS (the original implementation).
-
-        Kept as the ground truth for the vectorised path's agreement tests
-        and as the fallback for non-uniform trellises.
-        """
-        n_steps = observations.shape[0]
-        n_states = self.code.n_states
-        metrics = np.full(n_states, _METRIC_INF)
-        metrics[0] = 0.0
-        survivors = np.zeros((n_steps, n_states), dtype=np.int64)
-        survivor_bits = np.zeros((n_steps, n_states), dtype=np.uint8)
-
-        next_states = self._next_states
-        for step in range(n_steps):
-            branch = self._branch_metrics(observations[step], mask[step])
-            candidate = metrics[:, None] + branch  # (state, bit)
-            new_metrics = np.full(n_states, _METRIC_INF)
-            best_prev = np.zeros(n_states, dtype=np.int64)
-            best_bit = np.zeros(n_states, dtype=np.uint8)
-            flat_next = next_states.ravel()
-            flat_metric = candidate.ravel()
-            order = np.argsort(flat_metric, kind="stable")
-            seen = np.zeros(n_states, dtype=bool)
-            for idx in order:
-                ns = flat_next[idx]
-                if seen[ns]:
-                    continue
-                seen[ns] = True
-                new_metrics[ns] = flat_metric[idx]
-                best_prev[ns] = idx // 2
-                best_bit[ns] = idx % 2
-                if seen.all():
-                    break
-            metrics = new_metrics
-            survivors[step] = best_prev
-            survivor_bits[step] = best_bit
         return metrics, survivors, survivor_bits

@@ -41,7 +41,7 @@ from repro.core.frame import ReceiveResult, StreamDecodeResult
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.dsp.fft import fft
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import ConfigurationError, DecodingError, SynchronizationError
 from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator
 from repro.mimo.detector import MmseDetector, zf_detect
 from repro.modulation.demapper import SymbolDemapper
@@ -120,6 +120,9 @@ class MimoReceiver:
         Every antenna's stream is searched; the antenna with the strongest
         correlation peak wins (the STS is transmitted from antenna 0 only,
         so different receive antennas see it with different channel gains).
+        Raises :class:`~repro.exceptions.SynchronizationError` when no
+        antenna yields a comparable peak (no antennas, or NaN samples, whose
+        correlation peak compares false against everything).
         """
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2:
@@ -131,7 +134,11 @@ class MimoReceiver:
             if result.peak_magnitude > best_peak:
                 best_peak = result.peak_magnitude
                 best_start = result.lts_start
-        assert best_start is not None
+        if best_start is None:
+            raise SynchronizationError(
+                "no receive antenna produced a usable correlation peak "
+                "(no antennas, or non-finite samples)"
+            )
         return int(best_start)
 
     def estimate_channel(

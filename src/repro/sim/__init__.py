@@ -1,4 +1,4 @@
-"""Batched link-simulation engine: typed sweeps, work queues, result store.
+"""Batched link-simulation engine: typed sweeps, one runner, result store.
 
 ``repro.sim`` is the scale layer of the reproduction.  Where
 :func:`repro.core.transceiver.simulate_link` runs one operating point burst
@@ -11,11 +11,12 @@ executes them efficiently:
   front-end impairment (:class:`~repro.sim.spec.ImpairmentSpec`: CFO,
   timing delay, IQ imbalance, fixed-point word lengths);
 * :class:`~repro.sim.runner.SweepRunner` — drains deterministically seeded
-  burst batches through a pluggable work queue (:mod:`repro.sim.queue`),
-  stops each grid point early once its bit-error target is reached, commits
-  every finished point atomically to the sharded per-point
-  :class:`~repro.sim.store.ResultStore`, and resumes interrupted or
-  overlapping sweeps from it — simulating only the missing remainder;
+  burst batches inline for one worker or through a process pool otherwise
+  (:mod:`repro.sim.queue`), stops each grid point early once its bit-error
+  target is reached, commits every finished point atomically to the
+  sharded per-point :class:`~repro.sim.store.ResultStore`, and resumes
+  interrupted or overlapping sweeps from it — simulating only the missing
+  remainder (``cache=False`` runs with no store);
 * :meth:`~repro.sim.runner.SweepRunner.run_adaptive` — adaptive refinement:
   extra bursts go to the points whose BER confidence intervals
   (:mod:`repro.sim.stats`: Wilson / Clopper–Pearson) are widest;
@@ -42,12 +43,7 @@ See ``docs/simulation.md`` for the full engine guide.
 """
 
 from repro.sim.cache import content_key, default_cache_dir
-from repro.sim.queue import (
-    InProcessQueue,
-    MultiprocessingQueue,
-    WorkQueue,
-    make_queue,
-)
+from repro.sim.queue import InProcessQueue, MultiprocessingQueue
 from repro.sim.runner import SweepRunner, run_sweep
 from repro.sim.spec import (
     ENGINE_VERSION,
@@ -63,7 +59,7 @@ from repro.sim.stats import (
     clopper_pearson_interval,
     wilson_interval,
 )
-from repro.sim.store import ResultStore, commit_json_file, default_store_dir
+from repro.sim.store import ResultStore, default_store_dir
 
 __all__ = [
     "ENGINE_VERSION",
@@ -76,15 +72,12 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
-    "WorkQueue",
     "allocate_bursts",
     "ber_interval",
     "clopper_pearson_interval",
-    "commit_json_file",
     "content_key",
     "default_cache_dir",
     "default_store_dir",
-    "make_queue",
     "run_sweep",
     "wilson_interval",
 ]

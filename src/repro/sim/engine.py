@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -119,15 +119,14 @@ def simulate_point(
     rng: SeedLike = None,
     known_timing: bool = False,
     target_errors: Optional[int] = None,
-    channel_factory: Optional[Callable[[int], MimoChannel]] = None,
 ) -> Dict[str, object]:
     """Run up to ``n_bursts`` bursts and aggregate BER/PER statistics.
 
     This is the serial backbone behind
     :func:`repro.core.transceiver.simulate_link`: one RNG stream threaded
-    through all bursts, reproducing the classic fixed-channel loop
-    bit-for-bit when ``channel_factory`` and ``target_errors`` are left
-    unset.  The sweep engine's :func:`simulate_batch` runs the same
+    through all bursts over the transceiver's current channel, reproducing
+    the classic fixed-channel loop bit-for-bit when ``target_errors`` is
+    left unset.  The sweep engine's :func:`simulate_batch` runs the same
     physics but differs deliberately in two ways: it seeds each burst
     independently (so batching never changes results) and it tolerates
     receiver give-ups, counting a :class:`~repro.exceptions.DecodingError`
@@ -137,11 +136,7 @@ def simulate_point(
     Parameters
     ----------
     transceiver:
-        The transmit/receive chain; its current channel is used unless
-        ``channel_factory`` overrides it per burst.
-    channel_factory:
-        Called with the burst index to produce that burst's channel
-        (fresh-fading Monte-Carlo mode).
+        The transmit/receive chain, simulated over its current channel.
     target_errors:
         Stop simulating once this many bit errors have accumulated — the
         BER estimate's accuracy is governed by the error *count*, so
@@ -155,9 +150,7 @@ def simulate_point(
     frame_errors = 0
     bursts_run = 0
     early_stopped = False
-    for index in range(n_bursts):
-        if channel_factory is not None:
-            transceiver.set_channel(channel_factory(index))
+    for _ in range(n_bursts):
         result = transceiver.run_burst(
             n_info_bits, rng=generator, known_timing=known_timing
         )

@@ -1,4 +1,4 @@
-"""Resumable, store-backed sweep execution over pluggable work queues.
+"""Store-backed sweep execution over an in-process queue or a worker pool.
 
 :class:`SweepRunner` turns a :class:`~repro.sim.spec.SweepSpec` into a
 :class:`~repro.sim.spec.SweepResult`:
@@ -8,14 +8,14 @@
    record in the sharded :class:`~repro.sim.store.ResultStore` are loaded
    without simulating a burst.  An interrupted sweep therefore re-runs
    only its missing remainder, and overlapping grids share their
-   intersection.
+   intersection.  Passing ``cache=False`` runs with no store at all.
 2. **Batches over a work queue** — each pending point's burst budget is
-   split into fixed-size batches and drained through a
-   :class:`~repro.sim.queue.WorkQueue` (in-process FIFO for one worker, a
-   ``multiprocessing`` pool otherwise).  Every burst owns a deterministic
-   RNG stream seeded by the point's content and the burst index, so the
-   simulated physics is bit-identical for any queue backend, batch size or
-   completion order.
+   split into fixed-size batches and drained through
+   :class:`~repro.sim.queue.InProcessQueue` for one worker or
+   :class:`~repro.sim.queue.MultiprocessingQueue` otherwise.  Every burst
+   owns a deterministic RNG stream seeded by the point's content and the
+   burst index, so the simulated physics is bit-identical for any worker
+   count, batch size or completion order.
 3. **Early stopping + atomic commits** — batches report per-burst counts
    and the runner folds each point's burst sequence in order, truncating
    at the exact burst whose cumulative bit errors cross
@@ -25,12 +25,12 @@
 4. **Adaptive refinement** (:meth:`SweepRunner.run_adaptive`) — after the
    base sweep, extra bursts are allocated round by round to the points
    whose BER confidence intervals are widest (see :mod:`repro.sim.stats`),
-   extending each point's deterministic burst stream; refined records are
-   stored under budget-extended keys so a re-run replays the allocation
-   from the store without simulating.
+   extending each point's deterministic burst stream with the same batch
+   builder and fold; refined records are stored under budget-extended keys
+   so a re-run replays the allocation from the store without simulating.
 
-Statistics never depend on the worker count, queue backend or batch size
-(which is why none of them participates in the point keys).
+Statistics never depend on the worker count or batch size (which is why
+neither participates in the point keys).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import time
 from typing import Dict, List, Optional, Union
 
 from repro.sim.engine import simulate_batch
-from repro.sim.queue import QueueLike, make_queue
+from repro.sim.queue import InProcessQueue, MultiprocessingQueue
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
 from repro.sim.stats import allocate_bursts
 from repro.sim.store import ResultStore
@@ -76,18 +76,12 @@ class SweepRunner:
         (clamped to the burst budget) works well for both.
     cache:
         ``True`` (default) for the shared per-point store, ``False``/``None``
-        to disable persistence, or a directory /
+        for no store, or a directory /
         :class:`~repro.sim.store.ResultStore` selecting a specific store.
-    resume:
-        When True (default), finished points found in the store are loaded
-        instead of simulated — re-running an interrupted or overlapping
-        sweep costs only the missing remainder.  ``False`` re-simulates
-        everything (fresh records are still committed).
-    queue:
-        Execution backend: ``"auto"`` (default; in-process for one worker,
-        a ``multiprocessing`` pool otherwise), ``"serial"``, ``"process"``,
-        a :class:`~repro.sim.queue.WorkQueue` instance or a factory
-        ``n_workers -> WorkQueue``.
+        With a store, finished points are read from it instead of
+        simulated, each point is re-checked right before its first batch is
+        dispatched, and every folded point is committed to it.  Without
+        one, everything is simulated and nothing is written.
     """
 
     def __init__(
@@ -96,8 +90,6 @@ class SweepRunner:
         n_workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         cache: StoreLike = True,
-        resume: bool = True,
-        queue: QueueLike = "auto",
     ) -> None:
         self.spec = spec
         if n_workers is not None and n_workers <= 0:
@@ -107,32 +99,18 @@ class SweepRunner:
             raise ValueError("batch_size must be positive")
         self.batch_size = min(batch_size or 10, spec.n_bursts)
         self.store = _resolve_store(cache)
-        self.resume = bool(resume)
-        self.queue_backend = queue
 
     # ------------------------------------------------------------------
-    def run(
-        self, use_cache: bool = True, resume: Optional[bool] = None
-    ) -> SweepResult:
-        """Run (or resume) the sweep and return its result.
-
-        ``resume=None`` defers to the runner's ``resume`` setting;
-        ``use_cache=False`` (or ``resume=False``) forces full
-        re-simulation while still committing fresh records.
-        """
-        effective_resume = self.resume if resume is None else bool(resume)
-        if not use_cache:
-            effective_resume = False
+    def run(self) -> SweepResult:
+        """Run (or resume) the sweep and return its result."""
         start = time.perf_counter()
         points = self.spec.points()
-        loaded: Dict[int, SweepPointResult] = {}
-        if self.store is not None and effective_resume:
-            loaded = self._load_finished(points)
+        loaded = self._adopt({point.content_key(self.spec): point for point in points})
         pending = [point for point in points if point.index not in loaded]
         simulated: Dict[int, SweepPointResult] = {}
         computed = 0
         if pending:
-            simulated, computed = self._simulate(pending, check_store=effective_resume)
+            simulated, computed = self._simulate(pending)
         return SweepResult(
             spec=self.spec,
             points=[
@@ -144,40 +122,41 @@ class SweepRunner:
             n_bursts_simulated=computed,
         )
 
+    def _open_queue(self) -> Union[InProcessQueue, MultiprocessingQueue]:
+        """The in-process queue for one worker, the process pool otherwise."""
+        if self.n_workers == 1:
+            return InProcessQueue()
+        return MultiprocessingQueue(self.n_workers)
+
     # ------------------------------------------------------------------
     # Store round-trips
-    def _load_finished(self, points: List[SweepPoint]) -> Dict[int, SweepPointResult]:
-        """Finished-point results already committed to the store."""
-        by_key = {point.content_key(self.spec): point for point in points}
-        records = self.store.get_many(by_key)
-        loaded = {}
-        for key, payload in records.items():
-            point = by_key[key]
-            result = self._result_from_record(point, payload)
-            if result is not None:
-                loaded[point.index] = result
-        return loaded
+    def _adopt(self, wanted: Dict[str, SweepPoint]) -> Dict[int, SweepPointResult]:
+        """Results of the ``key -> point`` entries with an intact store record.
 
-    @staticmethod
-    def _result_from_record(
-        point: SweepPoint, payload: dict
-    ) -> Optional[SweepPointResult]:
-        """Rebuild one point result from its store record (None if corrupt)."""
-        try:
-            return SweepPointResult(
-                point=point,
-                bit_errors=int(payload["bit_errors"]),
-                total_bits=int(payload["total_bits"]),
-                frame_errors=int(payload["frame_errors"]),
-                n_bursts=int(payload["n_bursts"]),
-                early_stopped=bool(payload["early_stopped"]),
-                decode_failures=int(payload.get("decode_failures", 0)),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
+        Keyed by point index; empty without a store.  Each shard is read
+        once, so a warm re-run of a whole grid costs a few file reads.
+        """
+        if self.store is None:
+            return {}
+        adopted = {}
+        for key, payload in self.store.get_many(wanted).items():
+            point = wanted[key]
+            try:
+                adopted[point.index] = SweepPointResult(
+                    point=point,
+                    bit_errors=int(payload["bit_errors"]),
+                    total_bits=int(payload["total_bits"]),
+                    frame_errors=int(payload["frame_errors"]),
+                    n_bursts=int(payload["n_bursts"]),
+                    early_stopped=bool(payload["early_stopped"]),
+                    decode_failures=int(payload.get("decode_failures", 0)),
+                )
+            except (KeyError, TypeError, ValueError):
+                continue  # a corrupt record is a miss
+        return adopted
 
     def _commit(
-        self, result: SweepPointResult, elapsed_s: float, extra_bursts: int = 0
+        self, result: SweepPointResult, batch_stats: List[dict], extra_bursts: int = 0
     ) -> None:
         """Commit one folded point to the store (atomic appended record)."""
         if self.store is None:
@@ -191,36 +170,51 @@ class SweepRunner:
                 "n_bursts": result.n_bursts,
                 "early_stopped": result.early_stopped,
                 "decode_failures": result.decode_failures,
-                "elapsed_s": elapsed_s,
+                "elapsed_s": sum(s.get("elapsed_s", 0.0) for s in batch_stats),
                 "point": result.point.to_dict(),
             },
         )
 
     # ------------------------------------------------------------------
     # Task building and folding
-    def _tasks_for(self, point: SweepPoint) -> List[dict]:
-        """Batch payloads covering one point's burst budget."""
-        spec_payload = self.spec.to_dict()
+    def _tasks_for(
+        self,
+        point: SweepPoint,
+        spec: Optional[SweepSpec] = None,
+        start_burst: int = 0,
+        count: Optional[int] = None,
+    ) -> List[dict]:
+        """Batch payloads covering ``count`` bursts of one point from ``start_burst``.
+
+        The defaults cover the point's whole base budget under the runner's
+        spec; refinement passes a spec without an error target and the
+        extension's first burst and size.
+        """
+        spec = spec if spec is not None else self.spec
+        end_burst = start_burst + (count if count is not None else spec.n_bursts)
+        spec_payload = spec.to_dict()
         point_payload = point.to_dict()
         tasks = []
-        start_burst = 0
-        batch_index = 0
-        while start_burst < self.spec.n_bursts:
-            n_bursts = min(self.batch_size, self.spec.n_bursts - start_burst)
+        while start_burst < end_burst:
+            n_bursts = min(self.batch_size, end_burst - start_burst)
             tasks.append(
                 {
                     "spec": spec_payload,
                     "point": point_payload,
                     "start_burst": start_burst,
                     "n_bursts": n_bursts,
-                    "batch_index": batch_index,
+                    "batch_index": len(tasks),
                 }
             )
             start_burst += n_bursts
-            batch_index += 1
         return tasks
 
-    def _fold(self, point: SweepPoint, batch_stats: List[dict]) -> SweepPointResult:
+    def _fold(
+        self,
+        point: SweepPoint,
+        batch_stats: List[dict],
+        start: Optional[SweepPointResult] = None,
+    ) -> SweepPointResult:
         """Accumulate the global burst sequence, stopping at the error target.
 
         Batches report per-burst counts; folding them in batch order and
@@ -229,13 +223,19 @@ class SweepRunner:
         the spec — independent of batch size, worker count and completion
         order.  (Parallel runs may have *computed* bursts past the crossing
         point; they are discarded here.)
+
+        A refinement fold passes the point's current result as ``start``:
+        the extension bursts are added to it with no error target, and the
+        refined point is never reported as early-stopped.
         """
-        target = self.spec.target_errors
-        bit_errors = 0
-        total_bits = 0
-        frame_errors = 0
-        decode_failures = 0
-        n_bursts = 0
+        if start is None:
+            target = self.spec.target_errors
+            bit_errors = total_bits = frame_errors = decode_failures = n_bursts = 0
+        else:
+            target = None
+            bit_errors, total_bits = start.bit_errors, start.total_bits
+            frame_errors, decode_failures = start.frame_errors, start.decode_failures
+            n_bursts = start.n_bursts
         stopped = False
         for stats in sorted(batch_stats, key=lambda s: s["batch_index"]):
             for burst in stats["bursts"]:
@@ -255,7 +255,7 @@ class SweepRunner:
             total_bits=total_bits,
             frame_errors=frame_errors,
             n_bursts=n_bursts,
-            early_stopped=n_bursts < self.spec.n_bursts,
+            early_stopped=start is None and n_bursts < self.spec.n_bursts,
             decode_failures=decode_failures,
         )
 
@@ -271,7 +271,7 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     # Queue-driven execution
-    def _simulate(self, points: List[SweepPoint], check_store: bool = False):
+    def _simulate(self, points: List[SweepPoint]):
         """Drain the pending points through the work queue.
 
         Returns ``(results_by_index, computed_bursts)`` where the second
@@ -288,11 +288,10 @@ class SweepRunner:
         point is committed to the store the moment it folds, so an
         interrupted run keeps its finished points.
 
-        With ``check_store`` set, a point is re-checked against the store
-        right before its *first* batch is dispatched: a concurrent runner
-        that committed the point after this run's initial scan is honoured,
-        bounding double simulation to the points genuinely in flight at the
-        same moment.
+        With a store, a point is re-checked against it right before its
+        *first* batch is dispatched: a concurrent runner that committed the
+        point after this run's initial scan is honoured, bounding double
+        simulation to the points genuinely in flight at the same moment.
         """
         tasks = {point.index: self._tasks_for(point) for point in points}
         cursors = {point.index: 0 for point in points}
@@ -302,8 +301,7 @@ class SweepRunner:
         by_index = {point.index: point for point in points}
         results: Dict[int, SweepPointResult] = {}
         computed = 0
-        queue = make_queue(self.queue_backend, self.n_workers)
-        try:
+        with self._open_queue() as queue:
             def wants_work(index: int) -> bool:
                 return (
                     index not in results
@@ -320,10 +318,7 @@ class SweepRunner:
                     return
                 result = self._fold(by_index[index], collected[index])
                 results[index] = result
-                self._commit(
-                    result,
-                    sum(s.get("elapsed_s", 0.0) for s in collected[index]),
-                )
+                self._commit(result, collected[index])
 
             def submit_next() -> bool:
                 candidates = [index for index in by_index if wants_work(index)]
@@ -332,20 +327,14 @@ class SweepRunner:
                         candidates,
                         key=lambda i: (in_flight[i], cursors[i], i),
                     )
-                    if check_store and cursors[index] == 0 and self.store is not None:
-                        record = self.store.get(
-                            by_index[index].content_key(self.spec)
-                        )
-                        loaded = (
-                            self._result_from_record(by_index[index], record)
-                            if record is not None
-                            else None
-                        )
-                        if loaded is not None:
+                    if cursors[index] == 0:
+                        point = by_index[index]
+                        adopted = self._adopt({point.content_key(self.spec): point})
+                        if adopted:
                             # A concurrent runner finished this point since
                             # our initial scan: adopt its record, skip the
                             # simulation entirely.
-                            results[index] = loaded
+                            results.update(adopted)
                             candidates.remove(index)
                             continue
                     queue.submit(simulate_batch, tasks[index][cursors[index]], tag=index)
@@ -367,8 +356,6 @@ class SweepRunner:
                 maybe_finish(index)
             for index in by_index:
                 maybe_finish(index)
-        finally:
-            queue.close()
         return results, computed
 
     # ------------------------------------------------------------------
@@ -379,7 +366,6 @@ class SweepRunner:
         rounds: int = 4,
         confidence: float = 0.95,
         method: str = "wilson",
-        resume: Optional[bool] = None,
     ) -> SweepResult:
         """Run the base sweep, then spend ``extra_bursts`` where CIs are widest.
 
@@ -404,8 +390,7 @@ class SweepRunner:
         if rounds <= 0:
             raise ValueError("rounds must be positive")
         start = time.perf_counter()
-        base = self.run(resume=resume)
-        effective_resume = self.resume if resume is None else bool(resume)
+        base = self.run()
         current: Dict[int, SweepPointResult] = {
             result.point.index: result for result in base.points
         }
@@ -435,10 +420,7 @@ class SweepRunner:
             )
             if not allocation:
                 break
-            current, extended = self._extend_points(
-                current, extras, allocation, effective_resume
-            )
-            computed += extended
+            computed += self._extend_points(current, extras, allocation)
         return SweepResult(
             spec=self.spec,
             points=[current[index] for index in sorted(current)],
@@ -452,99 +434,53 @@ class SweepRunner:
         current: Dict[int, SweepPointResult],
         extras: Dict[int, int],
         allocation: Dict[int, int],
-        effective_resume: bool,
-    ):
-        """Simulate one refinement round's allocation; returns new results.
+    ) -> int:
+        """Apply one refinement round's allocation in place; returns bursts simulated.
 
         For every allocated point, the refined record (base + all
         extensions so far) is first looked up in the store under the
         extended-budget key; hits are adopted without simulating.  Misses
-        simulate the extension bursts through the work queue — seeded by
-        absolute burst index, they are the exact bursts an uninterrupted
-        run would have drawn — and commit the refined record.
+        simulate the extension bursts — seeded by absolute burst index, they
+        are the exact bursts an uninterrupted run would have drawn — fold
+        them onto the current result and commit the refined record.
         """
-        refined_spec = self.spec.subset(target_errors=None)
-        spec_payload = refined_spec.to_dict()
-        pending: Dict[int, int] = {}
-        for index, count in allocation.items():
-            new_extra = extras[index] + count
-            if self.store is not None and effective_resume:
-                record = self.store.get(
-                    current[index].point.content_key(
-                        self.spec, extra_bursts=new_extra
-                    )
-                )
-                loaded = (
-                    self._result_from_record(current[index].point, record)
-                    if record is not None
-                    else None
-                )
-                if loaded is not None:
-                    current[index] = loaded
-                    extras[index] = new_extra
-                    continue
-            pending[index] = count
-        computed = 0
+        pending = []
+        for index in sorted(allocation):
+            extras[index] += allocation[index]
+            point = current[index].point
+            adopted = self._adopt(
+                {point.content_key(self.spec, extra_bursts=extras[index]): point}
+            )
+            if adopted:
+                current.update(adopted)
+            else:
+                pending.append(index)
         if not pending:
-            return current, computed
+            return 0
 
+        refined_spec = self.spec.subset(target_errors=None)
         batches: Dict[int, List[dict]] = {index: [] for index in pending}
-        queue = make_queue(self.queue_backend, self.n_workers)
-        try:
-            for index, count in sorted(pending.items()):
-                start_burst = current[index].n_bursts
-                offset = 0
-                batch_index = 0
-                while offset < count:
-                    n_bursts = min(self.batch_size, count - offset)
-                    queue.submit(
-                        simulate_batch,
-                        {
-                            "spec": spec_payload,
-                            "point": current[index].point.to_dict(),
-                            "start_burst": start_burst + offset,
-                            "n_bursts": n_bursts,
-                            "batch_index": batch_index,
-                        },
-                        tag=index,
-                    )
-                    offset += n_bursts
-                    batch_index += 1
+        computed = 0
+        with self._open_queue() as queue:
+            for index in pending:
+                for task in self._tasks_for(
+                    current[index].point,
+                    refined_spec,
+                    start_burst=current[index].n_bursts,
+                    count=allocation[index],
+                ):
+                    queue.submit(simulate_batch, task, tag=index)
             while queue.pending() > 0:
                 index, stats = queue.next_result()
                 batches[index].append(stats)
                 computed += len(stats["bursts"])
-        finally:
-            queue.close()
 
         for index, stats_list in batches.items():
-            result = current[index]
-            bit_errors = result.bit_errors
-            total_bits = result.total_bits
-            frame_errors = result.frame_errors
-            decode_failures = result.decode_failures
-            n_bursts = result.n_bursts
-            elapsed = 0.0
-            for stats in sorted(stats_list, key=lambda s: s["batch_index"]):
-                elapsed += stats.get("elapsed_s", 0.0)
-                for burst in stats["bursts"]:
-                    bit_errors += burst["bit_errors"]
-                    total_bits += burst["total_bits"]
-                    frame_errors += burst["frame_error"]
-                    decode_failures += burst["decode_failure"]
-                    n_bursts += 1
-            extras[index] += pending[index]
-            current[index] = SweepPointResult(
-                point=result.point,
-                bit_errors=bit_errors,
-                total_bits=total_bits,
-                frame_errors=frame_errors,
-                n_bursts=n_bursts,
-                early_stopped=False,
-                decode_failures=decode_failures,
+            current[index] = self._fold(
+                current[index].point, stats_list, start=current[index]
             )
-            self._commit(current[index], elapsed, extra_bursts=extras[index])
-        return current, computed
+            self._commit(current[index], stats_list, extra_bursts=extras[index])
+        return computed
 
 
 def run_sweep(spec: SweepSpec, **runner_kwargs) -> SweepResult:

@@ -1,16 +1,17 @@
 """Per-symbol and stage-at-a-time reference paths for the link datapath.
 
-The transmitter, receiver and channel in ``src/`` run one batched,
-whole-burst datapath.  The loops they replaced live here, unchanged, as
-the bit-exact oracles that ``tests/test_hot_path_agreement.py`` compares
-against and that the ``benchmarks/test_rx_datapath.py`` /
-``benchmarks/test_link_datapath.py`` speedup gates time.  Every function
-takes the production object whose configuration it reads.
+The transmitter, receiver, channel, Viterbi decoder and symbol demapper in
+``src/`` run one batched datapath.  The loops they replaced live here,
+unchanged, as the bit-exact oracles that
+``tests/test_hot_path_agreement.py`` compares against and that the
+``benchmarks/test_rx_datapath.py`` / ``benchmarks/test_link_datapath.py``
+speedup gates time.  Every function takes the production object whose
+configuration it reads.
 
-:func:`reference_transmitter`, :func:`reference_receiver` and
-:func:`reference_channel` return a copy of a production object whose
-batched stages are replaced by these references, so a whole burst can run
-through either path with everything else shared.
+:func:`reference_transmitter`, :func:`reference_receiver`,
+:func:`reference_channel` and :func:`reference_decoder` return a copy of a
+production object whose batched stages are replaced by these references,
+so a whole burst can run through either path with everything else shared.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ from repro.channel.impairments import (
 )
 from repro.channel.model import MimoChannel
 from repro.coding.interleaver import interleave
+from repro.coding.viterbi import _METRIC_INF, ViterbiDecoder
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft, ofdm_modulate
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.detector import MmseDetector, zf_detect
+from repro.modulation.demapper import SymbolDemapper
+from repro.utils.bits import unpack_bits
 
 
 # ----------------------------------------------------------------------
@@ -218,3 +222,103 @@ def reference_channel(channel: MimoChannel) -> MimoChannel:
     reference = copy.copy(channel)
     reference._transmit_fused = functools.partial(transmit_stages, reference)
     return reference
+
+
+# ----------------------------------------------------------------------
+# Viterbi decoder
+# ----------------------------------------------------------------------
+def branch_metrics(
+    decoder: ViterbiDecoder, observation: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Metric of each (state, input) branch for one trellis step.
+
+    Lower is better.  ``observation`` and ``mask`` have length
+    ``n_outputs``.
+    """
+    if decoder.decision == "hard":
+        # Hamming distance over non-erased positions.
+        diff = np.abs(decoder._output_bits - observation[None, None, :])
+        return (diff * mask[None, None, :]).sum(axis=-1)
+    # Soft decision: LLR convention is positive => bit 0 more likely.
+    # Metric = sum over outputs of (bit ? +LLR : -LLR), lower better.
+    signs = 1.0 - 2.0 * decoder._output_bits  # bit0 -> +1, bit1 -> -1
+    return -(signs * (observation * mask)[None, None, :]).sum(axis=-1)
+
+
+def acs_scalar(
+    decoder: ViterbiDecoder, observations: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference per-branch ACS (the original implementation)."""
+    n_steps = observations.shape[0]
+    n_states = decoder.code.n_states
+    metrics = np.full(n_states, _METRIC_INF)
+    metrics[0] = 0.0
+    survivors = np.zeros((n_steps, n_states), dtype=np.int64)
+    survivor_bits = np.zeros((n_steps, n_states), dtype=np.uint8)
+
+    next_states = decoder._next_states
+    for step in range(n_steps):
+        branch = branch_metrics(decoder, observations[step], mask[step])
+        candidate = metrics[:, None] + branch  # (state, bit)
+        new_metrics = np.full(n_states, _METRIC_INF)
+        best_prev = np.zeros(n_states, dtype=np.int64)
+        best_bit = np.zeros(n_states, dtype=np.uint8)
+        flat_next = next_states.ravel()
+        flat_metric = candidate.ravel()
+        order = np.argsort(flat_metric, kind="stable")
+        seen = np.zeros(n_states, dtype=bool)
+        for idx in order:
+            ns = flat_next[idx]
+            if seen[ns]:
+                continue
+            seen[ns] = True
+            new_metrics[ns] = flat_metric[idx]
+            best_prev[ns] = idx // 2
+            best_bit[ns] = idx % 2
+            if seen.all():
+                break
+        metrics = new_metrics
+        survivors[step] = best_prev
+        survivor_bits[step] = best_bit
+    return metrics, survivors, survivor_bits
+
+
+def reference_decoder(decoder: ViterbiDecoder) -> ViterbiDecoder:
+    """Copy of ``decoder`` that runs the per-branch scalar ACS."""
+    reference = copy.copy(decoder)
+    reference._acs = functools.partial(acs_scalar, reference)
+    return reference
+
+
+# ----------------------------------------------------------------------
+# symbol demapper
+# ----------------------------------------------------------------------
+def hard_decisions_scalar(demapper: SymbolDemapper, symbols) -> np.ndarray:
+    """Per-symbol reference hard demapper (one symbol at a time)."""
+    received = np.asarray(symbols, dtype=np.complex128).ravel()
+    bits = []
+    for symbol in received:
+        distances = np.abs(symbol - demapper.constellation.points) ** 2
+        bits.append(unpack_bits([int(np.argmin(distances))], demapper.bits_per_symbol))
+    if not bits:
+        return np.zeros(0, dtype=np.uint8)
+    return np.concatenate(bits)
+
+
+def soft_decisions_scalar(
+    demapper: SymbolDemapper, symbols: np.ndarray, noise_variance: float = 1.0
+) -> np.ndarray:
+    """Per-symbol, per-bit reference soft demapper."""
+    if noise_variance <= 0:
+        raise ValueError("noise_variance must be positive")
+    received = np.asarray(symbols, dtype=np.complex128).ravel()
+    k = demapper.bits_per_symbol
+    llrs = np.zeros((received.size, k), dtype=np.float64)
+    for index, symbol in enumerate(received):
+        distances = np.abs(symbol - demapper.constellation.points) ** 2
+        for bit in range(k):
+            mask_zero = demapper._bit_table[:, bit] == 0
+            d_zero = distances[mask_zero].min()
+            d_one = distances[~mask_zero].min()
+            llrs[index, bit] = (d_one - d_zero) / noise_variance
+    return llrs.ravel()

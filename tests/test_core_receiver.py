@@ -13,7 +13,7 @@ from repro.dsp.fixedpoint import (
     MULTIPLIER_FORMAT_18BIT,
     SAMPLE_FORMAT_16BIT,
 )
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import ConfigurationError, DecodingError, SynchronizationError
 from reference_paths import reference_receiver, reference_transmitter
 
 
@@ -194,6 +194,20 @@ class TestKnownTimingAndValidation:
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
         with pytest.raises(DecodingError):
             receiver.estimate_channel(burst.samples, lts_start=-64)
+
+    def test_nan_sample_raises_synchronization_error(self, paper_config):
+        # A NaN sample turns every correlation peak into NaN, which compares
+        # false against everything: no antenna wins the search.  That must
+        # surface as a typed SynchronizationError, not a bare assertion.
+        transmitter = MimoTransmitter(paper_config)
+        receiver = MimoReceiver(paper_config)
+        burst = transmitter.transmit_random(120, rng=np.random.default_rng(13))
+        samples = burst.samples.copy()
+        samples[:, 5] = np.nan
+        with pytest.raises(SynchronizationError):
+            receiver.synchronize(samples)
+        with pytest.raises(SynchronizationError):
+            receiver.receive(samples, n_info_bits=120)
 
     def test_reference_length_mismatch_rejected(self, paper_config):
         transmitter = MimoTransmitter(paper_config)

@@ -7,9 +7,8 @@ receive chain in :mod:`repro.core.receiver` (planned FFT gather, batched
 ZF/MMSE detection and block pilot correction), the whole-burst transmit
 chain in :mod:`repro.core.transmitter` (block interleave/map, block pilot
 insertion, one planned IFFT, strided cyclic-prefix gather) and the fused
-channel pipeline in :mod:`repro.channel.model`.  The codec hot paths keep
-their scalar implementations in ``src/``; the transmit, receive and
-channel references live in ``tests/reference_paths.py``.  These
+channel pipeline in :mod:`repro.channel.model`.  Every scalar reference
+lives in ``tests/reference_paths.py``.  These
 property-style tests assert exact equality across random codewords,
 constellations, noise levels, puncturing patterns, impairment combinations
 and full transceiver configurations.
@@ -30,10 +29,14 @@ from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT
 from repro.modulation.constellations import Modulation
 from repro.modulation.demapper import SymbolDemapper
 from reference_paths import (
+    acs_scalar,
     estimate_channel,
+    hard_decisions_scalar,
     reference_channel,
+    reference_decoder,
     reference_receiver,
     reference_transmitter,
+    soft_decisions_scalar,
 )
 
 ALL_RATES = [CodeRate.RATE_1_2, CodeRate.RATE_2_3, CodeRate.RATE_3_4]
@@ -55,8 +58,7 @@ class TestViterbiAcsAgreement:
         code = ConvolutionalCode.ieee80211a(rate)
         encoder = ConvolutionalEncoder(code)
         vectorized = ViterbiDecoder(code, decision=decision)
-        scalar = ViterbiDecoder(code, decision=decision, vectorized=False)
-        assert vectorized._predecessors is not None
+        scalar = reference_decoder(ViterbiDecoder(code, decision=decision))
 
         for _ in range(12):
             n_bits = int(rng.integers(4, 240))
@@ -81,7 +83,7 @@ class TestViterbiAcsAgreement:
         code = ConvolutionalCode.ieee80211a(rate)
         encoder = ConvolutionalEncoder(code)
         vectorized = ViterbiDecoder(code)
-        scalar = ViterbiDecoder(code, vectorized=False)
+        scalar = reference_decoder(ViterbiDecoder(code))
         for _ in range(6):
             n_bits = int(rng.integers(8, 120))
             info = rng.integers(0, 2, n_bits).astype(np.uint8)
@@ -99,7 +101,7 @@ class TestViterbiAcsAgreement:
         # stable sort does.
         code = ConvolutionalCode.ieee80211a()
         vectorized = ViterbiDecoder(code)
-        scalar = ViterbiDecoder(code, vectorized=False)
+        scalar = reference_decoder(ViterbiDecoder(code))
         received = np.zeros(2 * 40, dtype=np.float64)
         np.testing.assert_array_equal(
             vectorized.decode(received, n_info_bits=34, terminated=True),
@@ -150,7 +152,7 @@ class TestDemapperBatchAgreement:
             symbols = rng.normal(size=n_symbols) + 1j * rng.normal(size=n_symbols)
             np.testing.assert_array_equal(
                 demapper.hard_decisions(symbols),
-                demapper.hard_decisions_scalar(symbols),
+                hard_decisions_scalar(demapper, symbols),
             )
 
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
@@ -163,7 +165,7 @@ class TestDemapperBatchAgreement:
             symbols = rng.normal(size=n_symbols) + 1j * rng.normal(size=n_symbols)
             np.testing.assert_array_equal(
                 demapper.soft_decisions(symbols, noise_variance=noise_variance),
-                demapper.soft_decisions_scalar(symbols, noise_variance=noise_variance),
+                soft_decisions_scalar(demapper, symbols, noise_variance=noise_variance),
             )
 
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
@@ -183,7 +185,7 @@ class TestDemapperBatchAgreement:
     def test_empty_input(self):
         demapper = SymbolDemapper("qpsk")
         assert demapper.hard_decisions(np.zeros(0)).size == 0
-        assert demapper.hard_decisions_scalar(np.zeros(0)).size == 0
+        assert hard_decisions_scalar(demapper, np.zeros(0)).size == 0
         assert demapper.soft_decisions(np.zeros(0)).size == 0
 
 
@@ -487,6 +489,14 @@ class TestReferenceCopiesAreIsolated:
         assert reference is not channel
         assert "_transmit_fused" not in vars(channel)
         assert reference._transmit_fused.args == (reference,)
+
+    def test_decoder_original_keeps_its_vectorised_acs(self):
+        decoder = ViterbiDecoder(ConvolutionalCode.ieee80211a())
+        reference = reference_decoder(decoder)
+        assert reference is not decoder
+        assert "_acs" not in vars(decoder)
+        assert reference._acs.func is acs_scalar
+        assert reference._acs.args == (reference,)
 
 
 class TestPilotBlockAgreement:

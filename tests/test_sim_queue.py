@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.sim.queue import (
-    InProcessQueue,
-    MultiprocessingQueue,
-    WorkQueue,
-    make_queue,
-)
+import repro.sim.runner as runner_module
+from repro.sim import SweepRunner, SweepSpec
+from repro.sim.queue import InProcessQueue, MultiprocessingQueue
 
 
 def double(payload):
@@ -61,10 +58,6 @@ class TestMultiprocessingQueue:
             results = dict(queue.next_result() for _ in range(4))
         assert results == {0: 0, 1: 2, 2: 4, 3: 6}
 
-    def test_capacity_scales_with_workers(self):
-        with MultiprocessingQueue(n_workers=2, lookahead=3) as queue:
-            assert queue.capacity == 6
-
     def test_worker_exception_reraises_in_caller(self):
         with MultiprocessingQueue(n_workers=1) as queue:
             queue.submit(explode, {"x": 3}, tag="bad")
@@ -82,50 +75,33 @@ class TestMultiprocessingQueue:
     def test_validation(self):
         with pytest.raises(ValueError):
             MultiprocessingQueue(n_workers=0)
-        with pytest.raises(ValueError):
-            MultiprocessingQueue(n_workers=1, lookahead=0)
 
 
-class TestMakeQueue:
-    def test_auto_picks_by_worker_count(self):
-        serial = make_queue("auto", n_workers=1)
-        assert isinstance(serial, InProcessQueue)
-        pooled = make_queue("auto", n_workers=2)
-        try:
-            assert isinstance(pooled, MultiprocessingQueue)
-        finally:
-            pooled.close()
+@pytest.mark.parametrize(
+    "n_workers, backend, capacity",
+    [(1, InProcessQueue, 1), (2, MultiprocessingQueue, 4)],
+)
+def test_runner_picks_the_queue_from_the_worker_count(
+    monkeypatch, n_workers, backend, capacity
+):
+    # One worker drains inline; more drain through a pool keeping two tasks
+    # per worker in flight.  The worker count is the only selector.
+    opened = []
+    for cls in (InProcessQueue, MultiprocessingQueue):
+        def recording(*args, cls=cls):
+            queue = cls(*args)
+            opened.append(queue)
+            return queue
 
-    def test_explicit_names(self):
-        assert isinstance(make_queue("serial", n_workers=8), InProcessQueue)
-        pooled = make_queue("process", n_workers=1)
-        try:
-            assert isinstance(pooled, MultiprocessingQueue)
-        finally:
-            pooled.close()
-
-    def test_instance_passes_through(self):
-        queue = InProcessQueue()
-        assert make_queue(queue, n_workers=4) is queue
-
-    def test_factory_receives_worker_count(self):
-        seen = []
-
-        def factory(n_workers):
-            seen.append(n_workers)
-            return InProcessQueue()
-
-        queue = make_queue(factory, n_workers=5)
-        assert isinstance(queue, InProcessQueue)
-        assert seen == [5]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_queue("quantum", n_workers=1)
-
-    def test_interface_is_abstract(self):
-        queue = WorkQueue()
-        with pytest.raises(NotImplementedError):
-            queue.submit(double, {})
-        with pytest.raises(NotImplementedError):
-            queue.next_result()
+        monkeypatch.setattr(runner_module, cls.__name__, recording)
+    spec = SweepSpec(
+        snr_db=(30.0,),
+        modulations=("qpsk",),
+        stream_counts=(2,),
+        n_info_bits=64,
+        n_bursts=1,
+        target_errors=None,
+    )
+    SweepRunner(spec, n_workers=n_workers, cache=False).run()
+    assert [type(queue) for queue in opened] == [backend]
+    assert opened[0].capacity == capacity

@@ -109,18 +109,51 @@ class TestCrashResume:
         assert warm.n_bursts_simulated == 0
         assert stats(warm) == stats(reference)
 
-    def test_resume_knob_forces_fresh_simulation(self, tmp_path):
+    def test_no_store_forces_fresh_simulation(self, tmp_path, monkeypatch):
+        # Reuse is decided by the cache argument alone: a warm store is
+        # read, cache=False simulates everything and writes no store at all.
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path / "default"))
         spec = small_spec(snr_db=(30.0,))
         store = ResultStore(tmp_path / "points")
-        SweepRunner(spec, n_workers=1, cache=store).run()
-        fresh = SweepRunner(spec, n_workers=1, cache=store, resume=False).run()
+        first = SweepRunner(spec, n_workers=1, cache=store).run()
+        fresh = SweepRunner(spec, n_workers=1, cache=False).run()
         assert not fresh.from_cache
         assert fresh.n_bursts_simulated == spec.n_bursts
-        # Per-call override wins over the constructor setting.
-        warm = SweepRunner(spec, n_workers=1, cache=store, resume=False).run(
-            resume=True
-        )
+        assert stats(fresh) == stats(first)
+        assert not (tmp_path / "default").exists()
+        warm = SweepRunner(spec, n_workers=1, cache=store).run()
         assert warm.from_cache and warm.n_bursts_simulated == 0
+
+    def test_point_committed_after_the_initial_scan_is_adopted(
+        self, tmp_path, monkeypatch
+    ):
+        # A point another runner commits after this run's initial store
+        # scan is re-checked right before its first batch is dispatched
+        # and adopted instead of simulated.
+        spec = small_spec(snr_db=(6.0, 30.0))
+        reference_store = ResultStore(tmp_path / "reference")
+        reference = SweepRunner(spec, n_workers=1, cache=reference_store).run()
+        late_key = spec.points()[1].content_key(spec)
+        store = ResultStore(tmp_path / "points")
+        simulated = []
+
+        def commit_late_point_then_simulate(task):
+            # The serial queue runs 6 dB first; the 30 dB record lands
+            # while that batch runs, after the initial scan.
+            if not simulated:
+                store.put(late_key, reference_store.get(late_key))
+            simulated.append(task["point"]["snr_db"])
+            return simulate_batch(task)
+
+        monkeypatch.setattr(
+            "repro.sim.runner.simulate_batch", commit_late_point_then_simulate
+        )
+        result = SweepRunner(
+            spec, n_workers=1, batch_size=spec.n_bursts, cache=store
+        ).run()
+        assert simulated == [6.0]
+        assert result.n_bursts_simulated == spec.n_bursts
+        assert stats(result) == stats(reference)
 
 
 class TestConcurrentRunners:
